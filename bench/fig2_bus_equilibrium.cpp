@@ -10,9 +10,9 @@
 // The table prints, per edge: PF's measured flow, the cut invariant, and the
 // Fig. 2 closed form — then the same for PCF, whose flows stay at the data
 // scale because converged flows keep being cancelled.
+#include <array>
+
 #include "bench_common.hpp"
-#include "core/push_cancel_flow.hpp"
-#include "core/push_flow.hpp"
 
 namespace pcf::bench {
 namespace {
@@ -54,17 +54,18 @@ int run(int argc, char** argv) {
   sim::SyncEngine pcf(topology, masses, pcf_cfg);
   pcf.run(rounds);
 
+  std::array<core::Mass, core::Reducer::kMaxFlowSlots> pf_flows;
+  std::array<core::Mass, core::Reducer::kMaxFlowSlots> pcf_slots;
   for (net::NodeId i = 0; i + 1 < n; ++i) {
-    const auto& pf_node = dynamic_cast<const core::PushFlow&>(pf.node(i));
-    const auto& flow = pf_node.flow_to(i + 1);
-    const auto& pcf_node = dynamic_cast<const core::PushCancelFlow&>(pcf.node(i));
-    const auto view = pcf_node.edge_state(i + 1);
+    (void)pf.node(i).flows_toward(i + 1, pf_flows);
+    const core::Mass& flow = pf_flows[0];
+    (void)pcf.node(i).flows_toward(i + 1, pcf_slots);
     const double pcf_biggest =
-        std::max({std::abs(view.flow1.s[0]), std::abs(view.flow2.s[0])});
+        std::max({std::abs(pcf_slots[0].s[0]), std::abs(pcf_slots[1].s[0])});
     table.add_row({std::to_string(i) + "-" + std::to_string(i + 1),
                    Table::fixed(flow.s[0], 4), Table::fixed(flow.s[0] - 2.0 * flow.w, 4),
                    Table::num(static_cast<std::int64_t>(n - 1 - i)),
-                   Table::fixed(view.flow1.s[0], 4), Table::fixed(pcf_biggest, 4)});
+                   Table::fixed(pcf_slots[0].s[0], 4), Table::fixed(pcf_biggest, 4)});
   }
   emit(table, flags);
   std::printf("\nPF max local error: %.3e   PCF max local error: %.3e\n", pf.max_error(),

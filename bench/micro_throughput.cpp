@@ -4,7 +4,7 @@
 // handshake add over PF and push-sum.
 #include <benchmark/benchmark.h>
 
-#include "core/reducer.hpp"
+#include "core/arena.hpp"
 #include "net/topology.hpp"
 #include "sim/engine_sync.hpp"
 #include "sim/reduce.hpp"
@@ -53,18 +53,19 @@ void BM_PacketExchange(benchmark::State& state) {
   // One send+receive on a single edge, vector payload of kMaxDim components —
   // the inner loop of everything.
   const auto algorithm = static_cast<core::Algorithm>(state.range(0));
-  auto a = core::make_reducer(algorithm);
-  auto b = core::make_reducer(algorithm);
-  const std::vector<net::NodeId> na{1}, nb{0};
-  core::Values payload(core::kMaxDim, 1.0);
-  a->init(0, na, core::Mass(payload, 1.0));
-  b->init(1, nb, core::Mass(payload, 1.0));
+  const auto topology = net::Topology::bus(2);
+  const core::Values payload(core::kMaxDim, 1.0);
+  const std::vector<core::Mass> masses(2, core::Mass(payload, 1.0));
+  core::ArenaFleet fleet(algorithm, {}, topology, masses);
+  auto nodes = core::make_facades(fleet, topology, masses);
+  core::ArenaReducer& a = nodes[0];
+  core::ArenaReducer& b = nodes[1];
   for (auto _ : state) {
-    auto out = a->make_message_to(1);
-    b->on_receive(0, out->packet);
-    auto back = b->make_message_to(0);
-    a->on_receive(1, back->packet);
-    benchmark::DoNotOptimize(a->estimate());
+    auto out = a.make_message_to(1);
+    b.on_receive(0, out->packet);
+    auto back = b.make_message_to(0);
+    a.on_receive(1, back->packet);
+    benchmark::DoNotOptimize(a.estimate());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
 }

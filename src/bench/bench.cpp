@@ -79,9 +79,6 @@ TrialResult run_trial(const Scenario& s, std::uint64_t suite_seed, std::size_t t
   config.algorithm = core::parse_algorithm(s.algorithm);
   config.seed = seed;
   config.faults = make_faults(s, topology);
-  PCF_CHECK_MSG(s.engine == "legacy" || s.engine == "arena",
-                "bench: unknown engine '" << s.engine << "' (want legacy|arena)");
-  config.mode = s.engine == "arena" ? sim::EngineMode::kArena : sim::EngineMode::kLegacy;
   config.shards = s.shards;
   PCF_CHECK_MSG(s.delivery == "sequential" || s.delivery == "crossing",
                 "bench: unknown delivery '" << s.delivery << "' (want sequential|crossing)");
@@ -145,18 +142,17 @@ std::vector<Scenario> make_suite(const std::string& name) {
     s.max_rounds = max_rounds;
     suite.push_back(std::move(s));
   };
-  // Scale cells: arena engine, fixed-round throughput runs. The name encodes
-  // engine/delivery/shards so cells stay unique within the suite.
+  // Scale cells: fixed-round throughput runs. The name encodes
+  // delivery/shards so cells stay unique within the suite; its "arena-"
+  // prefix keeps the names of the committed baseline's cells.
   const auto add_scale = [&suite](std::string algorithm, std::string topology,
-                                  std::string engine, std::string delivery,
-                                  std::size_t shards, std::size_t fixed_rounds) {
+                                  std::string delivery, std::size_t shards,
+                                  std::size_t fixed_rounds) {
     Scenario s;
-    s.name = algorithm + "/" + topology + "/" + engine + "-" + delivery + ":" +
-             std::to_string(shards);
+    s.name = algorithm + "/" + topology + "/arena-" + delivery + ":" + std::to_string(shards);
     s.algorithm = std::move(algorithm);
     s.topology = std::move(topology);
     s.trials = 1;
-    s.engine = std::move(engine);
     s.delivery = std::move(delivery);
     s.shards = shards;
     s.fixed_rounds = fixed_rounds;
@@ -210,33 +206,30 @@ std::vector<Scenario> make_suite(const std::string& name) {
     // baseline). Sequential delivery keeps no wire, so the big cells measure
     // pure arena gossip; the crossing cells exercise the sharded send/drain
     // paths. PCF/FU carry 2× the per-edge state, so they run at quarter size.
-    add_scale("ps", "torus2d:1000x1000", "arena", "sequential", 1, 5);
-    add_scale("pf", "torus2d:1000x1000", "arena", "sequential", 1, 5);
-    add_scale("pcf", "torus2d:500x500", "arena", "sequential", 1, 5);
-    add_scale("fu", "torus2d:500x500", "arena", "sequential", 1, 5);
-    add_scale("corr", "torus2d:500x500", "arena", "sequential", 1, 5);
-    add_scale("fumd", "torus2d:500x500", "arena", "sequential", 1, 5);
-    add_scale("ps", "regular:200000:6", "arena", "sequential", 1, 10);
-    add_scale("ps", "torus2d:250x250", "arena", "crossing", 0, 10);
-    add_scale("pcf", "torus2d:250x250", "arena", "crossing", 0, 10);
-    // Legacy reference at 100k — the arena speedup is this cell vs the next.
-    add_scale("ps", "torus2d:316x316", "legacy", "sequential", 1, 5);
-    add_scale("ps", "torus2d:316x316", "arena", "sequential", 1, 5);
+    add_scale("ps", "torus2d:1000x1000", "sequential", 1, 5);
+    add_scale("pf", "torus2d:1000x1000", "sequential", 1, 5);
+    add_scale("pcf", "torus2d:500x500", "sequential", 1, 5);
+    add_scale("fu", "torus2d:500x500", "sequential", 1, 5);
+    add_scale("corr", "torus2d:500x500", "sequential", 1, 5);
+    add_scale("fumd", "torus2d:500x500", "sequential", 1, 5);
+    add_scale("ps", "regular:200000:6", "sequential", 1, 10);
+    add_scale("ps", "torus2d:250x250", "crossing", 0, 10);
+    add_scale("pcf", "torus2d:250x250", "crossing", 0, 10);
+    add_scale("ps", "torus2d:316x316", "sequential", 1, 5);
     return suite;
   }
 
   if (name == "scale-fast") {
-    // CI-sized cut of "scale": same shape (arena sequential + sharded
-    // crossing + legacy reference), graphs small enough for sanitizer runs.
-    add_scale("ps", "torus2d:60x60", "arena", "sequential", 1, 20);
-    add_scale("pf", "torus2d:60x60", "arena", "sequential", 1, 20);
-    add_scale("pcf", "torus2d:40x40", "arena", "sequential", 1, 20);
-    add_scale("fu", "torus2d:40x40", "arena", "sequential", 1, 20);
-    add_scale("corr", "torus2d:40x40", "arena", "sequential", 1, 20);
-    add_scale("fumd", "torus2d:40x40", "arena", "sequential", 1, 20);
-    add_scale("ps", "torus2d:40x40", "arena", "crossing", 4, 20);
-    add_scale("pcf", "torus2d:40x40", "arena", "crossing", 4, 20);
-    add_scale("ps", "torus2d:40x40", "legacy", "sequential", 1, 20);
+    // CI-sized cut of "scale": same shape (sequential + sharded crossing),
+    // graphs small enough for sanitizer runs.
+    add_scale("ps", "torus2d:60x60", "sequential", 1, 20);
+    add_scale("pf", "torus2d:60x60", "sequential", 1, 20);
+    add_scale("pcf", "torus2d:40x40", "sequential", 1, 20);
+    add_scale("fu", "torus2d:40x40", "sequential", 1, 20);
+    add_scale("corr", "torus2d:40x40", "sequential", 1, 20);
+    add_scale("fumd", "torus2d:40x40", "sequential", 1, 20);
+    add_scale("ps", "torus2d:40x40", "crossing", 4, 20);
+    add_scale("pcf", "torus2d:40x40", "crossing", 4, 20);
     return suite;
   }
 
@@ -315,7 +308,7 @@ std::string report_to_json(const BenchReport& report) {
     json.field("algorithm", r.scenario.algorithm);
     json.field("topology", r.scenario.topology);
     json.field("fault_profile", r.scenario.fault_profile);
-    json.field("engine", r.scenario.engine);
+    json.field("engine", "arena");  // schema v3 field; one state layout remains
     json.field("shards", static_cast<std::uint64_t>(r.scenario.shards));
     json.field("delivery", r.scenario.delivery);
     json.field("fixed_rounds", static_cast<std::uint64_t>(r.scenario.fixed_rounds));

@@ -80,10 +80,13 @@ struct ChaosCellResult {
 /// the JSON answers "what does a checkpoint actually buy over the algorithm's
 /// own fault tolerance, and at what blob size".
 struct ChaosRestoreCell {
-  std::string name;       ///< unique id, e.g. "restore/pcf/ring:16/legacy"
+  std::string name;       ///< unique id, e.g. "restore/pcf/ring:16/arena"
   std::string algorithm;  ///< ps | pf | pcf | fu | corr | fumd
   std::string topology;   ///< net::Topology::parse spec
-  std::string engine = "legacy";  ///< legacy | arena
+  /// Position in the family's seed sequence (trial seeds mix it in). Stable
+  /// when cells are retired from the grid, so the survivors replay the same
+  /// trials as in earlier reports.
+  std::size_t seed_index = 0;
   std::size_t trials = 2;
   std::size_t kill_round = 60;        ///< the process dies after this round
   std::size_t checkpoint_every = 20;  ///< periodic checkpoint cadence

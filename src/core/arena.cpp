@@ -102,8 +102,8 @@ ArenaFleet::ArenaFleet(Algorithm algorithm, const ReducerConfig& config,
       child_.assign(edges, 0);
       global_.assign(n * stride_, 0.0);
       have_global_.assign(n, 0);
-      // Static child set per node (see CorrectionAllreduce::init): the edge's
-      // neighbor claims us when its scheduled parent is us.
+      // Static child set per node: the edge's neighbor claims us when its
+      // scheduled parent is us.
       for (NodeId i = 0; i < n; ++i) {
         for (std::size_t e = offsets_[i]; e < offsets_[i + 1]; ++e) {
           child_[e] = tree_->parent[nbr_[e]] == i ? 1 : 0;
@@ -151,8 +151,8 @@ void ArenaFleet::local_mass_into(NodeId i, double* out) const noexcept {
       return;
     }
     case Algorithm::kPushFlow: {
-      // PushFlow::local_mass: initial − flow_sum (sum over live slots in
-      // ascending slot order, THEN one subtraction — not per-slot subtract).
+      // PF: initial − flow_sum (sum over live slots in ascending slot order,
+      // THEN one subtraction — not per-slot subtract).
       const double* init = row(initial_, i);
       if (config_.pf_cached_flow_sum) {
         const double* c = row(cached_, i);
@@ -171,7 +171,7 @@ void ArenaFleet::local_mass_into(NodeId i, double* out) const noexcept {
       return;
     }
     case Algorithm::kPushCancelFlow: {
-      // PushCancelFlow::local_mass: fast = initial − ϕ;
+      // PCF: fast = initial − ϕ;
       // robust = (initial − ϕ) − Σ live slots (flow[0] then flow[1] per slot).
       const double* init = row(initial_, i);
       const double* phi = row(phi_, i);
@@ -192,9 +192,9 @@ void ArenaFleet::local_mass_into(NodeId i, double* out) const noexcept {
     }
     case Algorithm::kFlowUpdating:
     case Algorithm::kFuMassHybrid: {
-      // FlowUpdating::local_mass (shared by the hybrid) subtracts live flows
-      // PER SLOT from the initial mass — a different rounding than PF's
-      // sum-then-subtract, deliberately preserved.
+      // FU (shared by the hybrid) subtracts live flows PER SLOT from the
+      // initial mass — a different rounding than PF's sum-then-subtract,
+      // deliberately preserved.
       const double* init = row(initial_, i);
       for (std::size_t k = 0; k < stride_; ++k) out[k] = init[k];
       for (std::size_t s = 0; s < degree(i); ++s) {
@@ -206,8 +206,8 @@ void ArenaFleet::local_mass_into(NodeId i, double* out) const noexcept {
       return;
     }
     case Algorithm::kCorrectionAllreduce: {
-      // CorrectionAllreduce::local_mass: reports move no mass — the conserved
-      // quantity is the input itself.
+      // CORR: reports move no mass — the conserved quantity is the input
+      // itself.
       const double* init = row(initial_, i);
       for (std::size_t k = 0; k < stride_; ++k) out[k] = init[k];
       return;
@@ -230,8 +230,8 @@ void ArenaFleet::fused_into(NodeId i, double* out) const noexcept {
 }
 
 void ArenaFleet::subtree_sum_into(NodeId i, double* out) const noexcept {
-  // CorrectionAllreduce::subtree_sum: v_i plus every live, claiming, reported
-  // child's report, ascending slot order.
+  // CORR subtree sum: v_i plus every live, claiming, reported child's
+  // report, ascending slot order.
   const double* init = row(initial_, i);
   for (std::size_t k = 0; k < stride_; ++k) out[k] = init[k];
   for (std::size_t s = 0; s < degree(i); ++s) {
@@ -243,9 +243,9 @@ void ArenaFleet::subtree_sum_into(NodeId i, double* out) const noexcept {
 }
 
 std::optional<std::size_t> ArenaFleet::correction_parent_slot(NodeId i) const noexcept {
-  // CorrectionAllreduce::current_parent_slot: the (depth, id)-minimal live
-  // neighbor at strictly smaller static depth. Ascending slots == ascending
-  // ids, so the strict < breaks depth ties toward the smaller id.
+  // CORR current parent: the (depth, id)-minimal live neighbor at strictly
+  // smaller static depth. Ascending slots == ascending ids, so the strict <
+  // breaks depth ties toward the smaller id.
   std::optional<std::size_t> best;
   std::uint32_t best_depth = tree_->depth[i];
   for (std::size_t s = 0; s < degree(i); ++s) {
@@ -272,9 +272,8 @@ double ArenaFleet::estimate(NodeId i, std::size_t k) const {
   if (algorithm_ == Algorithm::kFlowUpdating) {
     fused_into(i, buf);  // FU reports the fused neighborhood estimate
   } else if (algorithm_ == Algorithm::kCorrectionAllreduce) {
-    // CorrectionAllreduce::estimate: the parent-delivered global view while
-    // attached, the own subtree sum as a (fragment) root or before the first
-    // view arrives.
+    // CORR: the parent-delivered global view while attached, the own
+    // subtree sum as a (fragment) root or before the first view arrives.
     if (have_global_[i] != 0 && correction_parent_slot(i).has_value()) {
       const double* g = row(global_, i);
       for (std::size_t c = 0; c < stride_; ++c) buf[c] = g[c];
@@ -316,8 +315,8 @@ void ArenaFleet::mark_alive_slot(NodeId i, std::size_t slot) noexcept {
 void ArenaFleet::on_link_down(NodeId i, NodeId j) {
   const auto slot = slot_of(i, j);
   if (!slot || alive_[offsets_[i] + *slot] == 0) return;  // unknown or already dead
-  // The legacy reducer resolves its current parent BEFORE the exclusion takes
-  // effect — replicate the ordering.
+  // CORR resolves its current parent BEFORE the exclusion takes effect, so
+  // losing the parent link is recognized below.
   std::optional<std::size_t> parent_slot;
   if (algorithm_ == Algorithm::kCorrectionAllreduce) parent_slot = correction_parent_slot(i);
   mark_dead_slot(i, *slot);
@@ -345,8 +344,13 @@ void ArenaFleet::on_link_down(NodeId i, NodeId j) {
       zero_row(f0, stride_);
       zero_row(f1, stride_);
       if (i < j && cycle_[e] % 2 == 1) {
-        // Initiator mid-transition: roll back the pending absorption (see
-        // PushCancelFlow::on_link_down for the two-generals note).
+        // Initiator mid-transition: un-absorb the half of a cancellation the
+        // peer (very likely) never completed — its explicit copy just died
+        // with the link, so keeping our absorbed half would permanently
+        // remove that mass. (If the peer DID complete and its swap notice was
+        // exactly the packet the failure destroyed, this rollback creates the
+        // bias instead: a two-generals window no local rule can close, one
+        // packet flight wide instead of the whole cancellation window.)
         double* phi = row(phi_, i);
         double* pending = row(pending_, e);
         for (std::size_t k = 0; k < stride_; ++k) phi[k] -= pending[k];
@@ -422,8 +426,7 @@ bool ArenaFleet::corrupt_stored_flow(NodeId i, Rng& rng) {
     const auto edge = static_cast<std::size_t>(rng.below(deg));
     victim_row = pcf_flow(offsets_[i] + edge, static_cast<std::uint8_t>(rng.below(2)));
   } else if (algorithm_ == Algorithm::kCorrectionAllreduce) {
-    // Victim: one stored child report, or (last index) the global view — the
-    // same below(deg + 1) draw as the legacy reducer.
+    // Victim: one stored child report, or (last index) the global view.
     const auto victim_index = static_cast<std::size_t>(rng.below(deg + 1));
     victim_row =
         victim_index < deg ? row(estimates_, offsets_[i] + victim_index) : row(global_, i);
@@ -431,8 +434,8 @@ bool ArenaFleet::corrupt_stored_flow(NodeId i, Rng& rng) {
     const auto slot = static_cast<std::size_t>(rng.below(deg));
     victim_row = row(flows_, offsets_[i] + slot);
   }
-  // Layout [s0..s_{d-1}, w]: the drawn component IS the flat index (the
-  // legacy reducers draw below(dim+1) and map dim -> w the same way).
+  // Layout [s0..s_{d-1}, w]: the drawn component below(dim+1) IS the flat
+  // index, with dim mapping to w.
   const auto component = static_cast<std::size_t>(rng.below(dim_ + 1));
   double& victim = victim_row[component];
   std::uint64_t bit = rng.below(53);
@@ -489,8 +492,8 @@ void ArenaFleet::reset_node(NodeId i, const Mass& initial) {
         const std::size_t e = base + s;
         zero_row(row(estimates_, e), stride_);
         have_estimate_[e] = 0;
-        // Factory-fresh init re-derives the STATIC child set from the
-        // schedule (CorrectionAllreduce::init on rejoin).
+        // Factory-fresh state re-derives the STATIC child set from the
+        // schedule.
         child_[e] = tree_->parent[nbr_[e]] == i ? 1 : 0;
       }
       zero_row(row(global_, i), stride_);
@@ -681,13 +684,18 @@ std::size_t ArenaFleet::flows_toward(NodeId i, NodeId j, std::span<Mass> out) co
   return 1;
 }
 
-PushCancelFlow::EdgeView ArenaFleet::pcf_edge_state(NodeId i, NodeId j) const {
+ArenaFleet::PcfEdgeView ArenaFleet::pcf_edge_state(NodeId i, NodeId j) const {
   PCF_CHECK_MSG(algorithm_ == Algorithm::kPushCancelFlow, "pcf_edge_state on non-PCF arena");
   const auto slot = slot_of(i, j);
   PCF_CHECK_MSG(slot.has_value(), "pcf_edge_state: node " << j << " is not a neighbor");
   const std::size_t e = offsets_[i] + *slot;
-  return PushCancelFlow::EdgeView{mass_from(pcf_flow(e, 0)), mass_from(pcf_flow(e, 1)),
-                                  static_cast<std::uint8_t>(active_[e] + 1), cycle_[e]};
+  return PcfEdgeView{static_cast<std::uint8_t>(active_[e] + 1), cycle_[e]};
+}
+
+std::optional<NodeId> ArenaFleet::correction_parent(NodeId i) const noexcept {
+  const auto slot = correction_parent_slot(i);
+  if (!slot) return std::nullopt;
+  return nbr_[offsets_[i] + *slot];
 }
 
 Mass ArenaFleet::unreceived_mass(NodeId i, NodeId from, const Packet& packet) const {
@@ -716,8 +724,10 @@ Mass ArenaFleet::unreceived_mass(NodeId i, NodeId from, const Packet& packet) co
       break;  // handled below
   }
 
-  // PCF: replay the receive phase rules without mutating (see
-  // PushCancelFlow::unreceived_mass for the derivation).
+  // PCF: replay the receive phase rules without mutating — determine which
+  // slots the packet would mirror and sum their mass deltas. Mirroring slot s
+  // to −packet[s] changes local_mass by f_old[s] + packet[s]; absorptions and
+  // role swaps move mass between ϕ and the slots and are mass-neutral.
   if (!slot || alive_[offsets_[i] + *slot] == 0) return delta;
   if (packet.a.dim() != dim_ || packet.b.dim() != dim_) return delta;
   if (packet.active_slot != 1 && packet.active_slot != 2) return delta;
@@ -762,15 +772,15 @@ Mass ArenaFleet::unreceived_mass(NodeId i, NodeId from, const Packet& packet) co
 
 void ArenaFleet::pcf_mirror_slot(std::size_t e, std::uint8_t which,
                                  const Mass& received) noexcept {
-  // Legacy mirror_slot runs on the edge's owner; recover the owner from the
-  // edge index via the peer's reverse slot.
+  // Recover the edge's owner from the edge index via the peer's reverse slot.
   const NodeId peer = nbr_[e];
   const NodeId owner = nbr_[offsets_[peer] + reverse_slot_[e]];
   double* f = pcf_flow(e, which);
   const bool fast = config_.pcf_variant == PcfVariant::kFast;
   double* phi = fast ? row(phi_, owner) : nullptr;
   // Per component: mirrored = −received; ϕ −= old flow; ϕ += mirrored;
-  // flow = mirrored (two separate ϕ updates, as in the legacy code).
+  // flow = mirrored (two separate ϕ updates — do not fuse, the rounding
+  // differs).
   for (std::size_t k = 0; k < dim_; ++k) {
     const double mirrored = -received.s[k];
     if (fast) {
@@ -961,6 +971,19 @@ std::optional<Outgoing> ArenaReducer::make_message_to(NodeId target) {
 void ArenaReducer::on_receive(NodeId from, const Packet& packet) {
   PCF_CHECK_MSG(initialized_, "on_receive before init");
   fleet_->receive_any(self_, from, packet);
+}
+
+std::vector<ArenaReducer> make_facades(ArenaFleet& fleet, const net::Topology& topology,
+                                       std::span<const Mass> initial) {
+  PCF_CHECK_MSG(topology.size() == fleet.size() && initial.size() == fleet.size(),
+                "facades need the fleet's own topology and initial masses");
+  std::vector<ArenaReducer> nodes;
+  nodes.reserve(fleet.size());
+  for (NodeId i = 0; i < fleet.size(); ++i) {
+    nodes.emplace_back(fleet, i);
+    nodes.back().init(i, topology.neighbors(i), initial[i]);
+  }
+  return nodes;
 }
 
 std::string_view ArenaReducer::name() const noexcept {

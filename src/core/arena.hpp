@@ -1,9 +1,7 @@
-// Structure-of-arrays state arena for the scale engine.
+// Structure-of-arrays state arena: the one implementation of every gossip
+// protocol in the roster.
 //
-// The per-node Reducer objects (push_sum.cpp, push_flow.cpp, …) keep their
-// flow state in per-object heap vectors — fine at test sizes, but at 10^5+
-// nodes the pointer-chasing and per-node allocations dominate a round. The
-// ArenaFleet stores the SAME state for ALL nodes in flat contiguous arrays
+// The ArenaFleet stores the state of ALL nodes in flat contiguous arrays
 // indexed by a CSR adjacency built once from net::Topology:
 //
 //   offsets_[i] .. offsets_[i+1]   node i's directed-edge range ("slots")
@@ -12,19 +10,79 @@
 //   flows_[e*stride ..]            per-edge flow state, stride doubles each
 //
 // Every Mass (s[0..d-1], w) is stored as stride = d+1 consecutive doubles in
-// the order [s0, …, s_{d-1}, w]. Mass's operators apply the s components in
-// index order and then w, so a single flat loop over the stride reproduces
-// the legacy floating-point operation sequence EXACTLY — the arena path is
-// bitwise-identical to the per-object path by construction, and the
-// differential suite (tests/sim/test_arena_equivalence.cpp) holds it to that.
+// the order [s0, …, s_{d-1}, w]. Loops over a row may interleave independent
+// components but never fuse or reassociate the operations on one component,
+// so the per-scalar floating-point operation chains are those of the original
+// per-node reducer objects — tests/sim/test_arena_equivalence.cpp pins the
+// resulting trajectories bit for bit.
 //
 // The hot per-round operations (make_message / receive) are templated on the
 // Algorithm so the engine's round loop devirtualizes and inlines them; the
-// cold protocol surface (link up/down, corruption, introspection) lives in
-// arena.cpp. ArenaReducer is a thin per-node facade implementing the full
-// Reducer interface on top of the fleet, so the differential oracle, the
-// invariant checkers, the fault layer and the chaos harness run against the
-// arena unchanged.
+// cold protocol surface (link up/down, corruption, checkpoint rows,
+// introspection) lives in arena.cpp. ArenaReducer is a thin per-node facade
+// implementing the full Reducer interface on top of the fleet, so oracles,
+// invariant checkers, fault hooks, sessions and the runtimes drive one node
+// at a time without knowing about the layout.
+//
+// Concurrency: every operation on node i writes only node i's rows (its edge
+// range and its per-node rows) and reads only those plus the immutable CSR
+// arrays and tree schedule. Calls for DIFFERENT nodes may therefore run on
+// different threads at once (the sharded round loop, the threaded runtime);
+// calls for the same node must be serialized by the caller.
+//
+// ── The protocols (one kernel each, below and in arena.cpp) ────────────────
+//
+// Push-sum (Kempe, Dobra, Gehrke — FOCS 2003). Keep half the mass, push half
+//   to a uniformly random neighbor. Conservation is GLOBAL, so a lost or
+//   corrupted message silently destroys the result: the non-fault-tolerant
+//   baseline.
+// Push-flow (PF, Fig. 1 of the paper). Per neighbor a flow f_{i,j}; a send
+//   folds the pushed half into f_{i,k} and transmits the whole flow, the
+//   receiver overwrites its mirror with the exact negation. Conservation is a
+//   local pairwise property re-established by the next delivery, so loss and
+//   flow bit flips self-heal. e_i = v_i − Σ_j f_{i,j}. Flows grow with n
+//   (cancellation error) and excluding a link zeroes flows of arbitrary
+//   magnitude (a restart) — the weaknesses PCF fixes.
+// Push-cancel-flow (PCF, Fig. 5 — the paper's contribution). Two flow slots
+//   per edge: the active one runs plain PF, the passive one is driven to zero.
+//   Once the passive pair is observed exactly antisymmetric both endpoints
+//   absorb their copy into the flow sum ϕ, zero it and swap roles; forever.
+//   Flows stay O(aggregate) and their ratio s/w ≈ aggregate, so zeroing a pair
+//   on failure perturbs mass, not estimates (no fall-back, Fig. 7). kFast
+//   keeps ϕ incrementally (Fig. 5 verbatim; flips are baked in); kRobust lets
+//   ϕ absorb only cancelled flows and re-sums the live slots (flips heal).
+//   The handshake deliberately deviates from Fig. 5, whose symmetric role
+//   negotiation loses mass under pipelined delivery (a stale packet rolls a
+//   completed swap back; both ends absorb passive values that are not exact
+//   negations — found by tests/core/test_interleaving_fuzz.cpp):
+//    1. only the lower node id (the initiator) starts cancellations; the
+//       completer absorbs and swaps on seeing the bumped counter, and the
+//       initiator then adopts the swap — adoption is one-directional;
+//    2. the initiator's passive copy is write-once per cycle and only the
+//       completer mirrors it; the per-edge counter counts PHASES (steady,
+//       transition — two per cycle) and cancel-equality is accepted only
+//       from current steady-phase packets, so by per-direction FIFO both
+//       absorbed halves are exact negations under any interleaving;
+//    3. while a swap propagates, packets with the old role mirror only the
+//       old active slot, so fresh pushes are never clobbered.
+//   The active slot runs unmodified PF in every phase, preserving the paper's
+//   PF-equivalence property (same schedule, no failures ⇒ same estimates).
+// Flow Updating (Jesus, Baquero, Almeida — DAIS 2009), gossip-paced. Per
+//   neighbor a flow and the neighbor's last fused estimate ê_j; each send
+//   fuses a_i = (e_i + Σ ê_j) / (|N_i| + 1), moves the chosen edge's flow so
+//   the neighbor's view reaches a_i, and transmits (f, a_i). Mirrors as PF.
+// Correction allreduce (Küttler & Härtig). Over a net::TreeSchedule every
+//   node resends its ABSOLUTE subtree sum (packet a) with its parent claim
+//   (role_count = parent + 1); the root's sum — the global aggregate — flows
+//   back down as the view (packet b, valid iff active_slot == 2). Reports are
+//   idempotent, so loss/duplication/reorder are corrected by the next resend.
+//   A node losing its parent re-attaches to the (depth, id)-minimal live
+//   neighbor of strictly smaller static depth, or becomes a fragment root.
+//   No mass ever moves.
+// FU/MD hybrid (Almeida, Baquero, Farach-Colton, Jesus, Mosteiro). FU's flow
+//   bookkeeping with mass distribution's pairwise step: Δ = (m_i − m̂_j) / 2
+//   moves through the edge flow and (f, m_i') is transmitted — MD's speed
+//   with FU's exact conservation even against stale reports.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +93,6 @@
 #include <vector>
 
 #include "core/mass.hpp"
-#include "core/push_cancel_flow.hpp"
 #include "core/reducer.hpp"
 #include "net/topology.hpp"
 #include "support/check.hpp"
@@ -102,8 +159,8 @@ class ArenaFleet {
   [[nodiscard]] std::optional<Send> send_to_slot(NodeId i, std::size_t slot);
 
   /// Delivers `packet` from neighbor `from` (= neighbor(i, slot)) to node i.
-  /// The caller resolved the slot; all legacy acceptance checks (liveness,
-  /// dimensions, header validity) are replayed here.
+  /// The caller resolved the slot; the acceptance checks (liveness,
+  /// dimensions, header validity) run here.
   template <Algorithm A>
   void receive(NodeId i, NodeId from, std::size_t slot, const Packet& packet);
 
@@ -137,10 +194,19 @@ class ArenaFleet {
   }
   [[nodiscard]] std::size_t flows_toward(NodeId i, NodeId j, std::span<Mass> out) const;
   [[nodiscard]] Mass unreceived_mass(NodeId i, NodeId from, const Packet& packet) const;
-  /// PCF only: the per-edge handshake state of edge (i, j), in the legacy
-  /// debug-view format so the pcf-handshake invariant checker probes the
-  /// arena exactly like the legacy reducer.
-  [[nodiscard]] PushCancelFlow::EdgeView pcf_edge_state(NodeId i, NodeId j) const;
+  /// PCF per-edge handshake state as seen by one endpoint (the
+  /// pcf-handshake invariant checker and the protocol tests probe it; the
+  /// two flow slots themselves come from flows_toward, in slot order).
+  struct PcfEdgeView {
+    std::uint8_t active_slot;  ///< 1-based, as on the wire
+    std::uint64_t role_count;  ///< phase counter (two phases per cycle)
+  };
+  /// PCF only: node i's handshake state on its edge toward neighbor j.
+  [[nodiscard]] PcfEdgeView pcf_edge_state(NodeId i, NodeId j) const;
+  /// CORR only: node i's current parent — the (depth, id)-minimal live
+  /// neighbor at strictly smaller static depth — or nullopt for a fragment
+  /// root.
+  [[nodiscard]] std::optional<NodeId> correction_parent(NodeId i) const noexcept;
 
   /// Untyped dispatchers for the facade (switch on algorithm()).
   [[nodiscard]] std::optional<Send> make_message_any(NodeId i, Rng& rng);
@@ -170,9 +236,8 @@ class ArenaFleet {
     for (std::size_t k = 0; k < stride; ++k) r[k] = 0.0;
   }
 
-  /// e_i into `out` (stride doubles), replaying the per-component operation
-  /// chain of the legacy algorithm exactly (see the per-algorithm notes in
-  /// arena.cpp).
+  /// e_i into `out` (stride doubles); the per-algorithm operation order is
+  /// part of the pinned numerics (see the notes in arena.cpp).
   void local_mass_into(NodeId i, double* out) const noexcept;
   /// FU only: the fused neighborhood average a_i.
   void fused_into(NodeId i, double* out) const noexcept;
@@ -185,7 +250,7 @@ class ArenaFleet {
   void mark_dead_slot(NodeId i, std::size_t slot) noexcept;
   void mark_alive_slot(NodeId i, std::size_t slot) noexcept;
 
-  // PCF receive rules (ported op-for-op from push_cancel_flow.cpp).
+  // PCF receive rules (see the handshake note at the top of the file).
   void pcf_mirror_slot(std::size_t e, std::uint8_t which, const Mass& received) noexcept;
   void pcf_absorb_passive(NodeId i, std::size_t e) noexcept;
   void pcf_receive_as_initiator(NodeId i, std::size_t e, const Packet& packet) noexcept;
@@ -203,7 +268,7 @@ class ArenaFleet {
   std::vector<std::uint8_t> alive_;         ///< per directed edge
   /// Node i's live slots as a sorted prefix of [offsets_[i], offsets_[i] +
   /// live_count_[i]). Sorted ascending slots == ascending neighbor ids, so
-  /// the uniform draw matches NeighborSet::pick_live_slot exactly.
+  /// the uniform draw is over live neighbors in ascending id order.
   std::vector<std::uint32_t> live_slots_;
   std::vector<std::uint32_t> live_count_;   ///< per node
 
@@ -226,9 +291,8 @@ class ArenaFleet {
 };
 
 // ---------------------------------------------------------------------------
-// Hot-path templates. Each block is the corresponding legacy reducer function
-// transcribed onto flat rows; the per-scalar operation chains are identical
-// (see the layout note at the top of the file).
+// Hot-path templates: one send rule and one receive rule per protocol, on
+// flat rows (see the layout and protocol notes at the top of the file).
 // ---------------------------------------------------------------------------
 
 template <Algorithm A>
@@ -239,7 +303,7 @@ std::optional<ArenaFleet::Send> ArenaFleet::send_to_slot(NodeId i, std::size_t s
   out.to_slot = reverse_slot_[e];
 
   if constexpr (A == Algorithm::kPushSum) {
-    // PushSum::send_to_slot: keep half, push half.
+    // PS: keep half, push half.
     double* m = row(mass_, i);
     Mass share = Mass::zero(dim_);
     for (std::size_t k = 0; k < dim_; ++k) {
@@ -251,7 +315,7 @@ std::optional<ArenaFleet::Send> ArenaFleet::send_to_slot(NodeId i, std::size_t s
     out.packet.a = share;
     return out;
   } else if constexpr (A == Algorithm::kPushFlow) {
-    // PushFlow::send_to_slot: fold half the mass into the flow, send the flow.
+    // PF: fold half the mass into the flow, send the flow.
     double lm[kMaxStride];
     local_mass_into(i, lm);
     double* f = row(flows_, e);
@@ -264,7 +328,7 @@ std::optional<ArenaFleet::Send> ArenaFleet::send_to_slot(NodeId i, std::size_t s
     out.packet.a = mass_from(f);
     return out;
   } else if constexpr (A == Algorithm::kPushCancelFlow) {
-    // PushCancelFlow::send_to_slot: PF on the edge's active slot only.
+    // PCF: PF on the edge's active slot only.
     double lm[kMaxStride];
     local_mass_into(i, lm);
     double* f = pcf_flow(e, active_[e]);
@@ -281,7 +345,7 @@ std::optional<ArenaFleet::Send> ArenaFleet::send_to_slot(NodeId i, std::size_t s
     out.packet.role_count = cycle_[e];
     return out;
   } else if constexpr (A == Algorithm::kFlowUpdating) {
-    // FlowUpdating::send_to_slot: move the edge flow toward the fused average.
+    // FU: move the edge flow toward the fused average.
     double a[kMaxStride];
     fused_into(i, a);
     double* f = row(flows_, e);
@@ -297,7 +361,7 @@ std::optional<ArenaFleet::Send> ArenaFleet::send_to_slot(NodeId i, std::size_t s
     out.packet.b = mass_from(a);
     return out;
   } else if constexpr (A == Algorithm::kCorrectionAllreduce) {
-    // CorrectionAllreduce::send_to_slot: full status — subtree report, parent
+    // CORR: full status — subtree report, parent
     // claim, and (when held) the global view.
     double s[kMaxStride];
     subtree_sum_into(i, s);
@@ -318,7 +382,7 @@ std::optional<ArenaFleet::Send> ArenaFleet::send_to_slot(NodeId i, std::size_t s
     return out;
   } else {
     static_assert(A == Algorithm::kFuMassHybrid);
-    // FuMassHybrid::send_to_slot: halve the gap to the neighbor's last report
+    // FUMD: halve the gap to the neighbor's last report
     // through the edge flow, then transmit (flow, post-step mass).
     double m[kMaxStride];
     local_mass_into(i, m);
@@ -343,7 +407,7 @@ void ArenaFleet::receive(NodeId i, NodeId from, std::size_t slot, const Packet& 
   PCF_ASSERT(nbr_[e] == from);
 
   if constexpr (A == Algorithm::kPushSum) {
-    // PushSum::on_receive accepts from any known slot, live or excluded.
+    // PS accepts from any known slot, live or excluded.
     PCF_ASSERT(packet.a.dim() == dim_);
     double* m = row(mass_, i);
     for (std::size_t k = 0; k < dim_; ++k) m[k] += packet.a.s[k];
@@ -353,7 +417,7 @@ void ArenaFleet::receive(NodeId i, NodeId from, std::size_t slot, const Packet& 
     if (packet.a.dim() != dim_) return;        // corrupted beyond use
     double* f = row(flows_, e);
     double* c = config_.pf_cached_flow_sum ? row(cached_, i) : nullptr;
-    // Legacy op order per component: cached -= old flow, cached += mirror,
+    // Op order per component: cached -= old flow, cached += mirror,
     // flow = mirror (two separate adds — do not fuse, the rounding differs).
     for (std::size_t k = 0; k < dim_; ++k) {
       const double mirrored = -packet.a.s[k];
@@ -417,8 +481,8 @@ void ArenaFleet::receive(NodeId i, NodeId from, std::size_t slot, const Packet& 
 
 // ---------------------------------------------------------------------------
 // Per-node facade: the full Reducer interface on top of the fleet, so every
-// engine-side consumer (oracle retarget, invariant checkers, fault hooks,
-// tests poking engine.node(i)) sees an ordinary reducer.
+// consumer that works one node at a time (oracle retarget, fault hooks,
+// runtimes, tests poking engine.node(i)) sees an ordinary reducer.
 // ---------------------------------------------------------------------------
 
 class ArenaReducer final : public Reducer {
@@ -463,15 +527,18 @@ class ArenaReducer final : public Reducer {
   }
   void save_state(BinaryWriter& w) const override { fleet_->save_node(self_, w); }
   void load_state(BinaryReader& r) override { fleet_->load_node(self_, r); }
-  /// Test/checker hook, mirroring PushCancelFlow::edge_state.
-  [[nodiscard]] PushCancelFlow::EdgeView edge_state(NodeId j) const {
-    return fleet_->pcf_edge_state(self_, j);
-  }
 
  private:
   ArenaFleet* fleet_;
   NodeId self_;
   bool initialized_ = false;
 };
+
+/// One init()-ed facade per node of `fleet`, which was built from `topology`
+/// and `initial`. The facades point into the fleet: it must outlive them and
+/// must not move (engines hold it by unique_ptr).
+[[nodiscard]] std::vector<ArenaReducer> make_facades(ArenaFleet& fleet,
+                                                     const net::Topology& topology,
+                                                     std::span<const Mass> initial);
 
 }  // namespace pcf::core

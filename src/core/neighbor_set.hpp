@@ -1,6 +1,6 @@
-// Shared per-node neighbor bookkeeping for reducer implementations: sorted
-// id -> slot lookup, liveness flags, and uniform sampling among live
-// neighbors.
+// Per-node neighbor bookkeeping for node-object protocols (the extrema
+// gossip): sorted id -> slot lookup, liveness flags, and uniform sampling
+// among live neighbors.
 //
 // The live set is stored as *slot indices* (ascending). Because ids_ is
 // sorted, ascending slots and ascending ids induce the same order, so the
@@ -50,7 +50,8 @@ class NeighborSet {
 
   /// Uniformly random live neighbor's slot, or nullopt if none are left.
   /// Draws exactly one rng.below(live_count()) when the live set is
-  /// non-empty, nothing otherwise — the reducers' RNG-stream contract.
+  /// non-empty, nothing otherwise — the same RNG-stream contract as the
+  /// arena's live-neighbor draw.
   [[nodiscard]] std::optional<std::size_t> pick_live_slot(Rng& rng) const noexcept {
     if (live_slots_.empty()) return std::nullopt;
     return static_cast<std::size_t>(

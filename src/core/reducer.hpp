@@ -1,11 +1,14 @@
 // The per-node protocol interface shared by all gossip reduction algorithms.
 //
-// A Reducer is the complete protocol state machine of ONE node: it owns the
-// node's initial mass, its per-neighbor flow state, and produces/consumes
-// point-to-point packets. Engines (synchronous rounds, asynchronous events,
-// threaded runtime) only move packets between reducers — the algorithms never
-// see the transport, which is exactly the property that lets the same code
-// run in a simulator and in the threaded runtime.
+// A Reducer is the protocol state machine of ONE node seen from outside: it
+// produces/consumes point-to-point packets and answers for the node's mass,
+// estimate and per-neighbor flow state. The state itself lives in a
+// core::ArenaFleet (core/arena.hpp) — the one implementation of every
+// algorithm — and core::ArenaReducer is the facade implementing this
+// interface for one node of a fleet. Engines (synchronous rounds,
+// asynchronous events, threaded and socket runtimes) only move packets
+// between nodes — the algorithms never see the transport, which is exactly
+// the property that lets the same code run in a simulator and in a runtime.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +62,8 @@ enum class Algorithm {
 [[nodiscard]] Algorithm parse_algorithm(std::string_view name);
 
 /// Whether the algorithm needs a resolved net::TreeSchedule in its
-/// ReducerConfig before reducers are constructed. The engines populate it
-/// from their topology when the caller left it empty.
+/// ReducerConfig before a fleet is constructed. The engines populate it from
+/// their topology when the caller left it empty.
 [[nodiscard]] constexpr bool needs_tree_schedule(Algorithm a) noexcept {
   return a == Algorithm::kCorrectionAllreduce;
 }
@@ -97,14 +100,15 @@ struct ReducerConfig {
   std::shared_ptr<const net::TreeSchedule> tree;
 };
 
-/// Per-node protocol state machine. Not thread-safe; the threaded runtime
-/// serializes access per node.
+/// Per-node protocol state machine. Not thread-safe; callers serialize
+/// access per node (see the concurrency note in core/arena.hpp).
 class Reducer {
  public:
   virtual ~Reducer() = default;
 
-  /// Installs identity, neighborhood and initial mass. Must be called exactly
-  /// once before any other member.
+  /// Binds identity, neighborhood and initial mass (the arena facade checks
+  /// them against its fleet, which already holds the state). Must be called
+  /// exactly once before any other member.
   virtual void init(NodeId self, std::span<const NodeId> neighbors, Mass initial) = 0;
 
   /// One gossip send step: choose a live neighbor (uniformly at random) and
@@ -228,9 +232,5 @@ class Reducer {
   /// packet counts).
   [[nodiscard]] virtual bool in_flight_mass_accumulates() const noexcept { return false; }
 };
-
-/// Factory for all reducer algorithms.
-[[nodiscard]] std::unique_ptr<Reducer> make_reducer(Algorithm algorithm,
-                                                    const ReducerConfig& config = {});
 
 }  // namespace pcf::core

@@ -1,6 +1,6 @@
 // Binary serialization of the core value types (Mass, Packet) shared by the
-// per-reducer save_state/load_state implementations, the arena fleet dump,
-// and the engine checkpoint layer (sim/checkpoint.cpp).
+// socket transport and runtime and the engine checkpoint layer
+// (sim/checkpoint.cpp).
 //
 // Doubles travel as IEEE-754 bit patterns so a restored state is bit-exact —
 // the checkpoint contract is bitwise-identical continuation, not approximate.

@@ -16,6 +16,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/arena.hpp"
 #include "core/state_io.hpp"
 #include "net/transport.hpp"
 #include "runtime/mailbox.hpp"
@@ -108,15 +109,18 @@ class ShardProcess {
         shard_(shard),
         epoch_(epoch),
         num_shards_(static_cast<std::uint32_t>(config.num_shards)),
+        fleet_(config.algorithm, config.reducer, topology, initial),
         shard_down_(config.num_shards, false),
         last_heard_(config.num_shards),
         peer_epoch_(config.num_shards, 0),
         rx_from_(config.num_shards) {
+    // One fleet over the FULL topology (O(n) memory per shard process); this
+    // shard only ever drives its own nodes' rows.
     const Rng base(config_.seed);
     for (net::NodeId i = shard_; i < topology_.size(); i += num_shards_) {
       local_nodes_.push_back(i);
-      reducers_.push_back(core::make_reducer(config_.algorithm, config_.reducer));
-      reducers_.back()->init(i, topology_.neighbors(i), initial[i]);
+      reducers_.emplace_back(fleet_, i);
+      reducers_.back().init(i, topology_.neighbors(i), initial[i]);
       rngs_.push_back(base.fork(i));
       mailboxes_.push_back(std::make_unique<Mailbox>(config_.mailbox_capacity));
     }
@@ -136,7 +140,7 @@ class ShardProcess {
     for (std::uint64_t step = start_step; step < config_.steps_per_node; ++step) {
       for (std::size_t k = 0; k < local_nodes_.size(); ++k) drain_into(k);
       for (std::size_t k = 0; k < local_nodes_.size(); ++k) {
-        auto out = reducers_[k]->make_message(rngs_[k]);
+        auto out = reducers_[k].make_message(rngs_[k]);
         if (!out) continue;
         send_packet(local_nodes_[k], out->to, out->packet);
       }
@@ -180,7 +184,7 @@ class ShardProcess {
 
   void drain_into(std::size_t k) {
     for (auto& env : mailboxes_[k]->drain()) {
-      reducers_[k]->on_receive(env.from, env.packet);
+      reducers_[k].on_receive(env.from, env.packet);
     }
   }
 
@@ -188,7 +192,7 @@ class ShardProcess {
     const auto dest_shard = static_cast<std::uint32_t>(to % num_shards_);
     if (dest_shard == shard_) {
       // Same-process link: direct delivery (trivially FIFO, never lossy).
-      reducers_[local_index(to)]->on_receive(from, packet);
+      reducers_[local_index(to)].on_receive(from, packet);
       return;
     }
     net::DataFrame frame;
@@ -242,9 +246,9 @@ class ShardProcess {
       for (const net::NodeId j : topology_.neighbors(local_nodes_[k])) {
         if (j % num_shards_ != p) continue;
         if (up) {
-          reducers_[k]->on_link_up(j);
+          reducers_[k].on_link_up(j);
         } else {
-          reducers_[k]->on_link_down(j);
+          reducers_[k].on_link_down(j);
         }
       }
     }
@@ -344,7 +348,7 @@ class ShardProcess {
       w.u32(local_nodes_[k]);
       for (const std::uint64_t word : rngs_[k].state()) w.u64(word);
       BinaryWriter state;
-      reducers_[k]->save_state(state);
+      reducers_[k].save_state(state);
       w.str(state.buffer());
     }
     w.u64(tx_seq_.size());
@@ -387,7 +391,7 @@ class ShardProcess {
         for (auto& word : rng_state) word = r.u64();
         rngs_[k].set_state(rng_state);
         BinaryReader state(r.str());
-        reducers_[k]->load_state(state);
+        reducers_[k].load_state(state);
       }
       const std::size_t tx_entries = r.count(16);
       for (std::size_t e = 0; e < tx_entries; ++e) {
@@ -455,8 +459,8 @@ class ShardProcess {
     w.u64(local_nodes_.size());
     for (std::size_t k = 0; k < local_nodes_.size(); ++k) {
       w.u32(local_nodes_[k]);
-      w.f64(reducers_[k]->estimate());
-      core::write_mass(w, reducers_[k]->local_mass());
+      w.f64(reducers_[k].estimate());
+      core::write_mass(w, reducers_[k].local_mass());
     }
     write_file_atomic(result_path(config_.run_dir, shard_), std::move(w));
   }
@@ -470,7 +474,8 @@ class ShardProcess {
   const std::uint32_t num_shards_;
 
   std::vector<net::NodeId> local_nodes_;
-  std::vector<std::unique_ptr<core::Reducer>> reducers_;
+  core::ArenaFleet fleet_;
+  std::vector<core::ArenaReducer> reducers_;  ///< facades of local_nodes_, into fleet_
   std::vector<Rng> rngs_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
 

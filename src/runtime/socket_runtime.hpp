@@ -1,16 +1,18 @@
 // Process-per-shard gossip runtime over loopback UDP — the algorithms on a
 // real, lossy transport.
 //
-// Every reducer from src/core runs here unmodified (the same property the
+// Every algorithm from src/core runs here unmodified (the same property the
 // ThreadedRuntime demonstrates for threads): nodes are sharded round-robin
-// over OS processes, same-shard packets are delivered directly, cross-shard
-// packets travel as checksummed UDP datagrams (net/transport.hpp). Nothing
-// injects faults — loss, duplication and reordering are whatever the kernel
-// actually does, MEASURED at the receiver via per-directed-link sequence
-// numbers and reported in the trial counters. Backpressure is real too: the
-// receive thread pushes into a bounded mailbox (runtime/mailbox.hpp); when
-// it blocks, the socket buffer fills and the kernel drops datagrams — the
-// overflow shows up as measured loss, not as a growing queue.
+// over OS processes, each holding one core::ArenaFleet over the full topology
+// and driving only its own nodes' rows; same-shard packets are delivered
+// directly, cross-shard packets travel as checksummed UDP datagrams
+// (net/transport.hpp). Nothing injects faults — loss, duplication and
+// reordering are whatever the kernel actually does, MEASURED at the receiver
+// via per-directed-link sequence numbers and reported in the trial counters.
+// Backpressure is real too: the receive thread pushes into a bounded mailbox
+// (runtime/mailbox.hpp); when it blocks, the socket buffer fills and the
+// kernel drops datagrams — the overflow shows up as measured loss, not as a
+// growing queue.
 //
 // Robustness machinery on top of the transport:
 //  * heartbeat failure detector — every shard beacons every other shard;
@@ -18,11 +20,11 @@
 //    cross-shard edges into it, and a resumed beacon triggers on_link_up —
 //    including FALSE positives when a merely-stalled peer revives;
 //  * supervision — each shard periodically writes an atomic checkpoint of
-//    its reducer states (core/state_io codecs + RNG streams + link sequence
-//    tables); the parent supervises with waitpid, and a child that dies by
-//    signal (real SIGKILL) is re-forked with a bumped epoch and restores
-//    from its last checkpoint. Restart epochs ride in the heartbeat frames
-//    so peers can reset their sequence expectations for the reborn shard.
+//    its nodes' arena rows, RNG streams and link sequence tables; the parent
+//    supervises with waitpid, and a child that dies by signal (real
+//    SIGKILL) is re-forked with a bumped epoch and restores from its last
+//    checkpoint. Restart epochs ride in the heartbeat frames so peers can
+//    reset their sequence expectations for the reborn shard.
 //
 // The parent binds ALL shard sockets before forking (ephemeral ports,
 // getsockname) and keeps them open, so children learn the full port map by

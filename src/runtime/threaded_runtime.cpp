@@ -27,9 +27,10 @@ ThreadedRuntime::ThreadedRuntime(net::Topology topology,
   }
 
   const Rng base(config_.seed);
+  fleet_ = std::make_unique<core::ArenaFleet>(config_.algorithm, config_.reducer, topology_,
+                                              initial);
+  nodes_ = core::make_facades(*fleet_, topology_, initial);
   for (net::NodeId i = 0; i < topology.size(); ++i) {
-    nodes_.push_back(core::make_reducer(config_.algorithm, config_.reducer));
-    nodes_.back()->init(i, topology.neighbors(i), initial[i]);
     node_rngs_.push_back(base.fork(i));
     mailboxes_.push_back(std::make_unique<Mailbox>(config_.mailbox_capacity));
   }
@@ -41,7 +42,7 @@ ThreadedRuntime::ThreadedRuntime(net::Topology topology,
 
 void ThreadedRuntime::drain_node(net::NodeId i) {
   for (auto& env : mailboxes_[i]->drain()) {
-    nodes_[i]->on_receive(env.from, env.packet);
+    nodes_[i].on_receive(env.from, env.packet);
     delivered_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -65,16 +66,17 @@ void ThreadedRuntime::deliver(std::size_t worker_index, net::NodeId to, Envelope
 
 void ThreadedRuntime::worker(std::size_t worker_index, std::size_t steps_per_node,
                              std::barrier<>& step_barrier) {
-  // Workers only ever mutate their own shard's reducers; cross-thread
-  // interaction is exclusively via mailboxes. The per-step barrier makes
-  // gossip steps globally interleave: without it, an OS that runs threads to
-  // completion (e.g. a single-core box) would let one worker fire its entire
-  // budget of sends before anyone replies — one giant burst instead of an
-  // iterative exchange, and the computation barely mixes.
+  // Workers only ever mutate their own shard's nodes (node-disjoint rows of
+  // the shared fleet); cross-thread interaction is exclusively via
+  // mailboxes. The per-step barrier makes gossip steps globally interleave:
+  // without it, an OS that runs threads to completion (e.g. a single-core
+  // box) would let one worker fire its entire budget of sends before anyone
+  // replies — one giant burst instead of an iterative exchange, and the
+  // computation barely mixes.
   for (std::size_t step = 0; step < steps_per_node; ++step) {
     for (const net::NodeId i : shards_[worker_index]) {
       drain_node(i);
-      auto out = nodes_[i]->make_message(node_rngs_[i]);
+      auto out = nodes_[i].make_message(node_rngs_[i]);
       if (!out) continue;
       if (dead_links_.count(norm_edge(i, out->to)) != 0) continue;  // cable cut
       deliver(worker_index, out->to, {i, std::move(out->packet)});
@@ -158,8 +160,8 @@ void ThreadedRuntime::fail_link(net::NodeId a, net::NodeId b) {
   PCF_CHECK_MSG(!workers_active(), "fail_link while a run() phase is active");
   PCF_CHECK_MSG(topology_.has_edge(a, b), "fail_link: no such link");
   if (!dead_links_.insert(norm_edge(a, b)).second) return;
-  nodes_[a]->on_link_down(b);
-  nodes_[b]->on_link_down(a);
+  nodes_[a].on_link_down(b);
+  nodes_[b].on_link_down(a);
 }
 
 void ThreadedRuntime::heal_link(net::NodeId a, net::NodeId b) {
@@ -167,21 +169,21 @@ void ThreadedRuntime::heal_link(net::NodeId a, net::NodeId b) {
   PCF_CHECK_MSG(!workers_active(), "heal_link while a run() phase is active");
   PCF_CHECK_MSG(topology_.has_edge(a, b), "heal_link: no such link");
   if (dead_links_.erase(norm_edge(a, b)) == 0) return;
-  nodes_[a]->on_link_up(b);
-  nodes_[b]->on_link_up(a);
+  nodes_[a].on_link_up(b);
+  nodes_[b].on_link_up(a);
 }
 
 std::vector<double> ThreadedRuntime::estimates(std::size_t k) const {
   std::vector<double> out;
   out.reserve(nodes_.size());
-  for (const auto& n : nodes_) out.push_back(n->estimate(k));
+  for (const auto& n : nodes_) out.push_back(n.estimate(k));
   return out;
 }
 
 core::Mass ThreadedRuntime::total_mass() const {
   PCF_CHECK_MSG(!nodes_.empty(), "total_mass on an empty runtime");
-  core::Mass total = nodes_.front()->local_mass();
-  for (std::size_t i = 1; i < nodes_.size(); ++i) total += nodes_[i]->local_mass();
+  core::Mass total = nodes_.front().local_mass();
+  for (std::size_t i = 1; i < nodes_.size(); ++i) total += nodes_[i].local_mass();
   return total;
 }
 

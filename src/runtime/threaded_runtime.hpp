@@ -1,12 +1,13 @@
 // Threaded gossip runtime — the algorithms outside the simulator.
 //
-// Every reducer from src/core runs here unmodified: nodes are sharded over
-// worker threads and packets travel through per-node mailboxes. Within a
-// step, workers interleave freely — delivery timing and crossings are real
-// nondeterminism, not simulated; a lightweight per-step barrier only paces
-// the workers so that gossip actually alternates (see worker()). Per
-// directed link FIFO holds because only the owning thread of the sender
-// produces packets for that link and mailboxes preserve push order.
+// Every algorithm from src/core runs here unmodified: one core::ArenaFleet
+// holds all node state, nodes are sharded over worker threads, and packets
+// travel through per-node mailboxes. Within a step, workers interleave
+// freely — delivery timing and crossings are real nondeterminism, not
+// simulated; a lightweight per-step barrier only paces the workers so that
+// gossip actually alternates (see worker()). Per directed link FIFO holds
+// because only the owning thread of the sender produces packets for that
+// link and mailboxes preserve push order.
 //
 // This is the evidence that the reduction algorithms depend only on
 // point-to-point messaging — the same property that would let them run over
@@ -20,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/arena.hpp"
 #include "core/reducer.hpp"
 #include "net/topology.hpp"
 #include "runtime/mailbox.hpp"
@@ -83,7 +85,7 @@ class ThreadedRuntime {
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
   [[nodiscard]] std::vector<double> estimates(std::size_t k = 0) const;
   [[nodiscard]] core::Mass total_mass() const;
-  [[nodiscard]] const core::Reducer& node(net::NodeId i) const { return *nodes_.at(i); }
+  [[nodiscard]] const core::Reducer& node(net::NodeId i) const { return nodes_.at(i); }
   [[nodiscard]] std::size_t messages_delivered() const noexcept { return delivered_.load(); }
   /// True while a run() phase has worker threads up (test/guard hook).
   [[nodiscard]] bool workers_active() const noexcept {
@@ -100,7 +102,14 @@ class ThreadedRuntime {
 
   net::Topology topology_;
   RuntimeConfig config_;
-  std::vector<std::unique_ptr<core::Reducer>> nodes_;
+  /// One fleet shared by every worker. Not lock-guarded: during run() a
+  /// worker touches only its own shard's nodes, and the fleet's per-node
+  /// operations write only that node's rows (core/arena.hpp, concurrency
+  /// note), so concurrent accesses are node-disjoint. Cold-path calls
+  /// (link down/up) run only while workers are down (fail_link/heal_link
+  /// check workers_active()). DESIGN.md §11 has the argument.
+  std::unique_ptr<core::ArenaFleet> fleet_;
+  std::vector<core::ArenaReducer> nodes_;  ///< one facade per node, into fleet_
   std::vector<Rng> node_rngs_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<std::vector<net::NodeId>> shards_;  // nodes per worker

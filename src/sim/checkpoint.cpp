@@ -25,6 +25,10 @@ namespace {
 
 constexpr std::uint8_t kKindSync = 1;
 constexpr std::uint8_t kKindAsync = 2;
+/// The header's engine_mode byte: the state layout of the per-node rows. The
+/// arena is the only layout; 0 was the retired per-object layout, whose rows
+/// must never be parsed as arena rows.
+constexpr auto kArenaLayout = static_cast<std::uint8_t>(EngineMode::kArena);
 
 /// FNV-1a over a stream of 64-bit words (fed byte-wise, little-endian).
 struct Fnv {
@@ -133,6 +137,15 @@ void write_header(BinaryWriter& w, const Header& h) {
   w.u64(h.dim);
   w.u64(h.compat_hash);
   w.f64(h.position);
+}
+
+/// Refuses a blob whose per-node rows are not in the arena layout.
+void check_layout(const Header& h) {
+  if (h.engine_mode != kArenaLayout) {
+    throw CheckpointError("checkpoint state layout " + std::to_string(h.engine_mode) +
+                          " is not the arena layout (" + std::to_string(kArenaLayout) +
+                          "); the per-object layout was retired");
+  }
 }
 
 /// Parses + validates the header; leaves `r` positioned at the body.
@@ -266,13 +279,13 @@ void load_perf(BinaryReader& r, PerfCounters& perf) {
 /// the public Reducer interface (bit patterns, not values — two states agree
 /// iff every double agrees bitwise).
 void fingerprint_nodes(Fnv& h, const net::Topology& topology,
-                       const std::vector<std::unique_ptr<core::Reducer>>& nodes,
+                       const std::vector<core::ArenaReducer>& nodes,
                        const std::vector<bool>& alive) {
   std::array<core::Mass, core::Reducer::kMaxFlowSlots> slots;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     h.add(alive[i] ? 1 : 0);
     if (!alive[i]) continue;  // dead state is unobservable; rejoin rebuilds it
-    const core::Reducer& node = *nodes[i];
+    const core::Reducer& node = nodes[i];
     const core::Mass m = node.local_mass();
     for (const double v : m.s) h.add_bits(v);
     h.add_bits(m.w);
@@ -322,7 +335,7 @@ std::uint64_t sync_compat_hash(const net::Topology& topology,
   h.add(kKindSync);
   h.add(static_cast<std::uint64_t>(config.algorithm));
   h.add(static_cast<std::uint64_t>(config.delivery));
-  h.add(static_cast<std::uint64_t>(config.mode));
+  h.add(static_cast<std::uint64_t>(config.mode));  // always kArena; keeps arena blobs valid
   h.add(config.seed);
   hash_construction_inputs(h, topology, initial, config.reducer);
   hash_fault_schedule(h, config.faults);
@@ -337,7 +350,7 @@ std::string SyncEngine::save_checkpoint(CheckpointMode mode) const {
   h.engine_kind = kKindSync;
   h.mode = mode;  // recorded for symmetry; the sync body is mode-independent
   h.algorithm = static_cast<std::uint8_t>(config_.algorithm);
-  h.engine_mode = fleet_ ? 1 : 0;
+  h.engine_mode = kArenaLayout;
   h.seed = config_.seed;
   h.nodes = nodes_.size();
   h.dim = oracle_.dim();
@@ -402,7 +415,7 @@ std::string SyncEngine::save_checkpoint(CheckpointMode mode) const {
   oracle_.save(w);
   // Per-node reducer state — dead nodes included: their frozen state is
   // deterministic, and saving unconditionally keeps the layout positional.
-  for (const auto& node : nodes_) node->save_state(w);
+  for (const auto& node : nodes_) node.save_state(w);
   save_perf(w, perf_);
   return std::move(w).take();
 }
@@ -416,10 +429,7 @@ void SyncEngine::restore(std::string_view checkpoint) {
   if (h.algorithm != static_cast<std::uint8_t>(config_.algorithm)) {
     throw CheckpointError("checkpoint algorithm does not match this engine");
   }
-  if (h.engine_mode != (fleet_ ? 1 : 0)) {
-    throw CheckpointError(
-        "checkpoint engine mode (legacy/arena) does not match this engine");
-  }
+  check_layout(h);
   if (h.seed != config_.seed || h.nodes != nodes_.size() || h.dim != oracle_.dim() ||
       h.compat_hash != sync_compat_hash(topology_, initial_, config_)) {
     throw CheckpointError(
@@ -491,7 +501,7 @@ void SyncEngine::restore(std::string_view checkpoint) {
       pending_clears_.push_back(e);
     }
     oracle_.load(r);
-    for (const auto& node : nodes_) node->load_state(r);
+    for (auto& node : nodes_) node.load_state(r);
     load_perf(r, perf_);
     r.expect_end();
   } catch (const BinioError& e) {
@@ -552,7 +562,7 @@ std::string AsyncEngine::save_checkpoint(CheckpointMode mode) const {
   h.engine_kind = kKindAsync;
   h.mode = mode;
   h.algorithm = static_cast<std::uint8_t>(config_.algorithm);
-  h.engine_mode = 0;  // the async engine has no arena backend
+  h.engine_mode = kArenaLayout;
   h.seed = config_.seed;
   h.nodes = nodes_.size();
   h.dim = oracle_.dim();
@@ -594,7 +604,7 @@ std::string AsyncEngine::save_checkpoint(CheckpointMode mode) const {
     w.f64(time);
   }
   oracle_.save(w);
-  for (const auto& node : nodes_) node->save_state(w);
+  for (const auto& node : nodes_) node.save_state(w);
   save_perf(w, perf_);
 
   // The event heap. Full mode: every pending event in raw heap-vector order,
@@ -634,6 +644,7 @@ void AsyncEngine::restore(std::string_view checkpoint) {
   if (h.algorithm != static_cast<std::uint8_t>(config_.algorithm)) {
     throw CheckpointError("checkpoint algorithm does not match this engine");
   }
+  check_layout(h);
   if (h.seed != config_.seed || h.nodes != nodes_.size() || h.dim != oracle_.dim() ||
       h.compat_hash != async_compat_hash(topology_, initial_, config_)) {
     throw CheckpointError(
@@ -677,7 +688,7 @@ void AsyncEngine::restore(std::string_view checkpoint) {
       last_arrival_[{a, b}] = r.f64();
     }
     oracle_.load(r);
-    for (const auto& node : nodes_) node->load_state(r);
+    for (auto& node : nodes_) node.load_state(r);
     load_perf(r, perf_);
 
     std::vector<Event> events;

@@ -1,7 +1,7 @@
 // Checkpoint/restore for the simulation engines (DESIGN.md §8).
 //
 // The checkpoint layer serializes the COMPLETE mutable state of an engine —
-// reducer state for every node (legacy objects or arena spans), RNG streams,
+// arena rows for every node, RNG streams,
 // fault-plan progress cursors, PCF handshake phase, the oracle's conserved
 // targets, and (async, full mode) the entire pending event heap — into a
 // versioned binary blob. Restoring the blob into a freshly constructed engine
@@ -67,7 +67,7 @@ struct CheckpointInfo {
   std::uint8_t engine_kind = 0;  ///< 1 = sync, 2 = async
   CheckpointMode mode = CheckpointMode::kFull;
   std::uint8_t algorithm = 0;    ///< core::Algorithm value
-  std::uint8_t engine_mode = 0;  ///< sync only: 0 legacy, 1 arena
+  std::uint8_t engine_mode = 0;  ///< state layout: 1 = arena (0 = retired per-object)
   std::uint64_t seed = 0;
   std::uint64_t nodes = 0;
   std::uint64_t dim = 0;

@@ -17,6 +17,7 @@
 #include <set>
 #include <vector>
 
+#include "core/arena.hpp"
 #include "core/reducer.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/event_heap.hpp"
@@ -68,7 +69,7 @@ class AsyncEngine {
   [[nodiscard]] FaultPlan& mutable_faults() noexcept { return config_.faults; }
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
   [[nodiscard]] const Oracle& oracle() const noexcept { return oracle_; }
-  [[nodiscard]] core::Reducer& node(NodeId i) { return *nodes_.at(i); }
+  [[nodiscard]] core::Reducer& node(NodeId i) { return nodes_.at(i); }
   [[nodiscard]] std::vector<double> estimates(std::size_t k = 0) const;
   [[nodiscard]] double max_error(std::size_t k = 0) const;
   [[nodiscard]] std::size_t messages_delivered() const noexcept { return delivered_; }
@@ -161,7 +162,8 @@ class AsyncEngine {
 
   net::Topology topology_;
   AsyncEngineConfig config_;
-  std::vector<std::unique_ptr<core::Reducer>> nodes_;
+  std::unique_ptr<core::ArenaFleet> fleet_;  // stable address: nodes_ point into it
+  std::vector<core::ArenaReducer> nodes_;    // one facade per node
   std::vector<Rng> node_rngs_;
   Rng net_rng_;
   Oracle oracle_;

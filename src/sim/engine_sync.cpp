@@ -16,30 +16,10 @@ std::pair<NodeId, NodeId> norm_edge(NodeId a, NodeId b) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Round-phase state backends. The round templates below are written once and
-// instantiated per backend: LegacyOps routes through the per-node virtual
-// Reducer interface, ArenaOps<A> inlines the fleet's flat-array operations
-// (the devirtualized hot path). Both produce identical floating-point
-// operation sequences — the differential suite pins that.
+// Round-phase ops: the round templates below are written once and
+// instantiated per algorithm; ArenaOps<A> inlines the fleet's flat-array send
+// and receive (the devirtualized hot path).
 // ---------------------------------------------------------------------------
-
-struct SyncEngine::LegacyOps {
-  SyncEngine& e;
-  using Send = core::ArenaFleet::Send;
-  std::optional<Send> make(NodeId i) {
-    auto out = e.nodes_[i]->make_message(e.node_rngs_[i]);
-    if (!out) return std::nullopt;
-    Send s;
-    s.to = out->to;
-    s.to_slot = 0;  // legacy on_receive resolves the slot itself
-    s.packet = std::move(out->packet);
-    return s;
-  }
-  void deliver(NodeId to, NodeId from, std::uint32_t /*to_slot*/, const core::Packet& p) {
-    e.nodes_[to]->on_receive(from, p);
-  }
-  [[nodiscard]] std::size_t wire_masses(NodeId i) const { return e.nodes_[i]->wire_masses(); }
-};
 
 template <core::Algorithm A>
 struct SyncEngine::ArenaOps {
@@ -61,7 +41,8 @@ struct SyncEngine::View final : SystemView {
   [[nodiscard]] core::Algorithm algorithm() const override { return engine.config_.algorithm; }
   [[nodiscard]] double time() const override { return static_cast<double>(engine.round_); }
   [[nodiscard]] bool alive(NodeId i) const override { return engine.alive_.at(i); }
-  [[nodiscard]] const core::Reducer& node(NodeId i) const override { return *engine.nodes_.at(i); }
+  [[nodiscard]] const core::Reducer& node(NodeId i) const override { return engine.nodes_.at(i); }
+  [[nodiscard]] const core::ArenaFleet& fleet() const override { return *engine.fleet_; }
   [[nodiscard]] bool link_dead(NodeId a, NodeId b) const override {
     return engine.dead_links_.count(norm_edge(a, b)) != 0;
   }
@@ -129,21 +110,11 @@ SyncEngine::SyncEngine(net::Topology topology, std::span<const core::Mass> initi
   }
 
   const Rng base(config_.seed);
-  nodes_.reserve(topology.size());
+  fleet_ = std::make_unique<core::ArenaFleet>(config_.algorithm, config_.reducer, topology_,
+                                              initial);
+  nodes_ = core::make_facades(*fleet_, topology_, initial);
   node_rngs_.reserve(topology.size());
-  if (config_.mode == EngineMode::kArena) {
-    fleet_ = std::make_unique<core::ArenaFleet>(config_.algorithm, config_.reducer, topology_,
-                                                initial);
-  }
-  for (NodeId i = 0; i < topology.size(); ++i) {
-    if (fleet_) {
-      nodes_.push_back(std::make_unique<core::ArenaReducer>(*fleet_, i));
-    } else {
-      nodes_.push_back(core::make_reducer(config_.algorithm, config_.reducer));
-    }
-    nodes_.back()->init(i, topology.neighbors(i), initial[i]);
-    node_rngs_.push_back(base.fork(i));
-  }
+  for (NodeId i = 0; i < topology.size(); ++i) node_rngs_.push_back(base.fork(i));
   alive_.assign(topology.size(), true);
   rejoin_counts_.assign(topology.size(), 0);
   shards_ = std::max<std::size_t>(1, resolve_thread_count(config_.shards, topology.size()));
@@ -224,24 +195,18 @@ void SyncEngine::rejoin_node(NodeId node, double physical_time) {
   alive_[node] = true;
   ++rejoins_fired_;
   ++rejoin_counts_[node];
-  // The crashed node's state is gone: rebuild the reducer from the initial
-  // mass. Its node RNG stream continues where it left off (a fresh process,
-  // not a replay). In arena mode the node REUSES its arena rows (reset in
-  // place) — rejoin never grows the arena.
-  if (fleet_) {
-    fleet_->reset_node(node, initial_[node]);
-    nodes_[node] = std::make_unique<core::ArenaReducer>(*fleet_, node);
-  } else {
-    nodes_[node] = core::make_reducer(config_.algorithm, config_.reducer);
-  }
-  nodes_[node]->init(node, topology_.neighbors(node), initial_[node]);
+  // The crashed node's state is gone: reset its arena rows in place to the
+  // factory-fresh state from the initial mass (rejoin never grows the
+  // arena). Its node RNG stream continues where it left off (a fresh
+  // process, not a replay).
+  fleet_->reset_node(node, initial_[node]);
   for (const NodeId peer : topology_.neighbors(node)) {
     const auto edge = norm_edge(node, peer);
     // Crash-induced link failures revive with the node; independently cut
     // links (scheduled/explicit/churn) stay down until their own heal.
     const bool stays_down = !alive_[peer] || cut_links_.count(edge) != 0;
     if (stays_down) {
-      nodes_[node]->on_link_down(peer);
+      nodes_[node].on_link_down(peer);
     } else if (dead_links_.count(edge) != 0) {
       revive_link(node, peer, physical_time);
     }
@@ -260,9 +225,9 @@ void SyncEngine::deliver_notifications_due() {
   for (const auto& n : pending_notices_) {
     if (!due(n) || !alive_[n.node]) continue;
     if (n.up) {
-      nodes_[n.node]->on_link_up(n.peer);
+      nodes_[n.node].on_link_up(n.peer);
     } else {
-      nodes_[n.node]->on_link_down(n.peer);
+      nodes_[n.node].on_link_down(n.peer);
     }
   }
   pending_notices_.erase(
@@ -333,8 +298,8 @@ void SyncEngine::process_due_faults() {
     // Only a LIVE link can be falsely detected down; transport stays up.
     if (!alive_[e.a] || !alive_[e.b] || dead_links_.count(edge) != 0) continue;
     ++false_detects_fired_;
-    nodes_[e.a]->on_link_down(e.b);
-    nodes_[e.b]->on_link_down(e.a);
+    nodes_[e.a].on_link_down(e.b);
+    nodes_[e.b].on_link_down(e.a);
     falsely_excluded_.insert(edge);
     pending_clears_.push_back({e.time + e.clear_delay, e.a, e.b, 0.0});
   }
@@ -353,8 +318,8 @@ void SyncEngine::process_due_faults() {
       // "Detected up" — unless the link genuinely died in the meantime.
       if (alive_[e.a] && alive_[e.b] && dead_links_.count(edge) == 0) {
         ++false_clears_fired_;
-        nodes_[e.a]->on_link_up(e.b);
-        nodes_[e.b]->on_link_up(e.a);
+        nodes_[e.a].on_link_up(e.b);
+        nodes_[e.b].on_link_up(e.a);
       }
     }
   }
@@ -362,7 +327,7 @@ void SyncEngine::process_due_faults() {
          plan.data_updates[next_data_update_].time <= now) {
     const auto& u = plan.data_updates[next_data_update_++];
     if (!alive_[u.node]) continue;
-    nodes_[u.node]->update_data(u.delta);
+    nodes_[u.node].update_data(u.delta);
     // A live update changes the conserved mass by exactly delta.
     oracle_.shift(u.delta);
   }
@@ -389,8 +354,8 @@ void SyncEngine::fail_link_now(NodeId a, NodeId b) {
   if (!dead_links_.insert(norm_edge(a, b)).second) return;
   cut_links_.insert(norm_edge(a, b));
   ++explicit_link_failures_;
-  if (alive_[a]) nodes_[a]->on_link_down(b);
-  if (alive_[b]) nodes_[b]->on_link_down(a);
+  if (alive_[a]) nodes_[a].on_link_down(b);
+  if (alive_[b]) nodes_[b].on_link_down(a);
 }
 
 void SyncEngine::heal_link_now(NodeId a, NodeId b) {
@@ -407,14 +372,14 @@ void SyncEngine::heal_link_now(NodeId a, NodeId b) {
                        return !n.up && norm_edge(n.node, n.peer) == edge;
                      }),
       pending_notices_.end());
-  nodes_[a]->on_link_up(b);
-  nodes_[b]->on_link_up(a);
+  nodes_[a].on_link_up(b);
+  nodes_[b].on_link_up(a);
 }
 
 void SyncEngine::apply_data_update(NodeId node, const core::Mass& delta) {
   PCF_CHECK_MSG(node < nodes_.size(), "data update node out of range");
   PCF_CHECK_MSG(alive_[node], "data update on a crashed node");
-  nodes_[node]->update_data(delta);
+  nodes_[node].update_data(delta);
   oracle_.shift(delta);
   ++explicit_data_updates_;
 }
@@ -433,7 +398,7 @@ std::size_t SyncEngine::step() {
     if (plan.state_flip_prob > 0.0) {
       for (NodeId i = 0; i < nodes_.size(); ++i) {
         if (alive_[i] && fault_rng_.chance(plan.state_flip_prob)) {
-          if (nodes_[i]->corrupt_stored_flow(fault_rng_)) ++stats_.state_flips;
+          if (nodes_[i].corrupt_stored_flow(fault_rng_)) ++stats_.state_flips;
         }
       }
     }
@@ -641,13 +606,8 @@ void SyncEngine::dispatch_send_phase() {
   const bool via_wire = config_.delivery == Delivery::kCrossing || plan.reorder_prob > 0.0;
   // Sharding needs a send loop with no shared-RNG draws (loss/flip) and no
   // cross-node state mutation (immediate delivery).
-  const bool sharded = fleet_ != nullptr && shards_ > 1 && nodes_.size() > 1 && via_wire &&
+  const bool sharded = shards_ > 1 && nodes_.size() > 1 && via_wire &&
                        plan.message_loss_prob == 0.0 && plan.bit_flip_prob == 0.0;
-  if (!fleet_) {
-    LegacyOps ops{*this};
-    run_gossip(ops, /*send_sharded=*/false);
-    return;
-  }
   switch (config_.algorithm) {
     case core::Algorithm::kPushSum: {
       ArenaOps<core::Algorithm::kPushSum> ops{*this};
@@ -685,13 +645,8 @@ void SyncEngine::dispatch_send_phase() {
 void SyncEngine::dispatch_drain_phase() {
   const auto& plan = config_.faults;
   // Sharding needs a drain with no per-delivery fault_rng_ draws.
-  const bool sharded = fleet_ != nullptr && shards_ > 1 && wire_.size() > 1 &&
-                       plan.duplicate_prob == 0.0 && plan.reorder_prob == 0.0;
-  if (!fleet_) {
-    LegacyOps ops{*this};
-    run_drain(ops, /*drain_sharded=*/false);
-    return;
-  }
+  const bool sharded = shards_ > 1 && wire_.size() > 1 && plan.duplicate_prob == 0.0 &&
+                       plan.reorder_prob == 0.0;
   switch (config_.algorithm) {
     case core::Algorithm::kPushSum: {
       ArenaOps<core::Algorithm::kPushSum> ops{*this};
@@ -760,7 +715,7 @@ std::vector<double> SyncEngine::estimates(std::size_t k) const {
   std::vector<double> out;
   out.reserve(nodes_.size());
   for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) out.push_back(nodes_[i]->estimate(k));
+    if (alive_[i]) out.push_back(nodes_[i].estimate(k));
   }
   return out;
 }
@@ -769,7 +724,7 @@ std::vector<core::Mass> SyncEngine::masses() const {
   std::vector<core::Mass> out;
   out.reserve(nodes_.size());
   for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) out.push_back(nodes_[i]->local_mass());
+    if (alive_[i]) out.push_back(nodes_[i].local_mass());
   }
   return out;
 }
@@ -777,7 +732,7 @@ std::vector<core::Mass> SyncEngine::masses() const {
 double SyncEngine::max_error(std::size_t k) const {
   double worst = 0.0;
   for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) worst = std::max(worst, oracle_.error_of(nodes_[i]->estimate(k), k));
+    if (alive_[i]) worst = std::max(worst, oracle_.error_of(nodes_[i].estimate(k), k));
   }
   return worst;
 }
@@ -788,7 +743,7 @@ double SyncEngine::error_quantile(double q, std::size_t k) const {
   std::vector<double> errs;
   errs.reserve(nodes_.size());
   for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) errs.push_back(oracle_.error_of(nodes_[i]->estimate(k), k));
+    if (alive_[i]) errs.push_back(oracle_.error_of(nodes_[i].estimate(k), k));
   }
   return quantile(errs, q);
 }
@@ -796,7 +751,7 @@ double SyncEngine::error_quantile(double q, std::size_t k) const {
 double SyncEngine::max_abs_flow() const {
   double best = 0.0;
   for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) best = std::max(best, nodes_[i]->max_abs_flow_component());
+    if (alive_[i]) best = std::max(best, nodes_[i].max_abs_flow_component());
   }
   return best;
 }
@@ -805,7 +760,7 @@ TracePoint SyncEngine::sample(std::size_t k) const {
   std::vector<double> errs;
   errs.reserve(nodes_.size());
   for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) errs.push_back(oracle_.error_of(nodes_[i]->estimate(k), k));
+    if (alive_[i]) errs.push_back(oracle_.error_of(nodes_[i].estimate(k), k));
   }
   TracePoint p;
   p.time = static_cast<double>(round_);

@@ -42,18 +42,13 @@ enum class Delivery {
   kCrossing,
 };
 
-/// Engine state implementation.
+/// Engine state layout. Kept only for source compatibility: there is one
+/// layout, structure-of-arrays flow arenas over a CSR adjacency with a
+/// devirtualized round loop (core::ArenaFleet). The explicit value is part of
+/// the checkpoint format (the header's engine_mode byte and the sync
+/// compatibility hash), so it must never change.
 enum class EngineMode {
-  /// One heap-allocated Reducer object per node (the reference path).
-  kLegacy,
-  /// Structure-of-arrays flow arenas over a CSR adjacency with a
-  /// devirtualized round loop (core::ArenaFleet). Bitwise-identical to
-  /// kLegacy for every algorithm, delivery model and fault plan — held to
-  /// that by tests/sim/test_arena_equivalence.cpp — but scales to 10^6
-  /// nodes. The per-node Reducer interface (node(i)) stays available
-  /// through thin facades, so oracles / invariants / fault hooks are
-  /// unchanged.
-  kArena,
+  kArena = 1,
 };
 
 struct SyncEngineConfig {
@@ -62,9 +57,9 @@ struct SyncEngineConfig {
   FaultPlan faults;
   std::uint64_t seed = 1;
   Delivery delivery = Delivery::kSequential;
-  EngineMode mode = EngineMode::kLegacy;
-  /// Arena mode only: shard the round loop over up to this many worker
-  /// threads (0 = hardware concurrency, 1 = serial). Sharding engages only
+  EngineMode mode = EngineMode::kArena;  ///< source compatibility only
+  /// Shard the round loop over up to this many worker threads
+  /// (0 = hardware concurrency, 1 = serial). Sharding engages only
   /// for the phases the fault model keeps node-disjoint (wire-routed sends
   /// with no per-packet loss/flip draws; drains with no duplicate/reorder
   /// draws) — everything else runs serially, so the engine output is
@@ -139,11 +134,11 @@ class SyncEngine {
   [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> dead_links() const {
     return {dead_links_.begin(), dead_links_.end()};
   }
-  [[nodiscard]] core::Reducer& node(NodeId i) { return *nodes_.at(i); }
-  [[nodiscard]] const core::Reducer& node(NodeId i) const { return *nodes_.at(i); }
+  [[nodiscard]] core::Reducer& node(NodeId i) { return nodes_.at(i); }
+  [[nodiscard]] const core::Reducer& node(NodeId i) const { return nodes_.at(i); }
   [[nodiscard]] bool node_alive(NodeId i) const { return alive_.at(i); }
-  /// The SoA state arena, or nullptr in legacy mode.
-  [[nodiscard]] const core::ArenaFleet* fleet() const noexcept { return fleet_.get(); }
+  /// The SoA state arena holding every node's protocol state.
+  [[nodiscard]] const core::ArenaFleet& fleet() const noexcept { return *fleet_; }
   /// Resolved shard count (config_.shards with 0 expanded to hardware).
   [[nodiscard]] std::size_t shards() const noexcept { return shards_; }
 
@@ -203,7 +198,6 @@ class SyncEngine {
 
  private:
   struct View;
-  struct LegacyOps;
   template <core::Algorithm A>
   struct ArenaOps;
   void check_invariants(bool force);
@@ -216,10 +210,10 @@ class SyncEngine {
   void rejoin_node(NodeId node, double physical_time);
   void deliver_notifications_due();
 
-  // Round phases, templated on the state backend (LegacyOps virtual-calls
-  // into nodes_; ArenaOps<A> inlines the fleet's flat-array ops). The
-  // *_sharded variants split the node range into `shards_` contiguous
-  // blocks and merge in block order — byte-identical to the serial phase.
+  // Round phases, templated on the algorithm's ops (ArenaOps<A> inlines the
+  // fleet's flat-array send/receive). The *_sharded variants split the node
+  // range into `shards_` contiguous blocks and merge in block order —
+  // byte-identical to the serial phase.
   template <typename Ops>
   void send_phase(Ops& ops);
   template <typename Ops>
@@ -237,8 +231,8 @@ class SyncEngine {
 
   net::Topology topology_;
   SyncEngineConfig config_;
-  std::vector<std::unique_ptr<core::Reducer>> nodes_;
-  std::unique_ptr<core::ArenaFleet> fleet_;  // kArena mode only
+  std::unique_ptr<core::ArenaFleet> fleet_;  // stable address: nodes_ point into it
+  std::vector<core::ArenaReducer> nodes_;    // one facade per node
   std::size_t shards_ = 1;
   std::vector<Rng> node_rngs_;
   Rng fault_rng_;
@@ -293,8 +287,7 @@ class SyncEngine {
   struct InFlight {
     NodeId from;
     NodeId to;
-    /// Receiver-side slot of the sender (arena mode; 0 in legacy mode, where
-    /// on_receive re-resolves the slot itself).
+    /// Receiver-side slot of the sender.
     std::uint32_t to_slot = 0;
     core::Packet packet;
   };

@@ -4,11 +4,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <optional>
 #include <sstream>
 
-#include "core/arena.hpp"
-#include "core/push_cancel_flow.hpp"
 #include "support/check.hpp"
 
 namespace pcf::sim {
@@ -26,20 +23,6 @@ std::string format_edge(NodeId a, NodeId b) {
   std::ostringstream os;
   os << a << "-" << b;
   return os.str();
-}
-
-/// PCF per-edge handshake state of `node` toward `peer`, whichever backend
-/// implements the node (legacy PushCancelFlow object or arena facade).
-/// nullopt when the node is neither (e.g. a test fake).
-std::optional<core::PushCancelFlow::EdgeView> pcf_edge_view(const core::Reducer& node,
-                                                            NodeId peer) {
-  if (const auto* legacy = dynamic_cast<const core::PushCancelFlow*>(&node)) {
-    return legacy->edge_state(peer);
-  }
-  if (const auto* arena = dynamic_cast<const core::ArenaReducer*>(&node)) {
-    return arena->edge_state(peer);
-  }
-  return std::nullopt;
 }
 
 // ---------------------------------------------------------------------------
@@ -133,10 +116,9 @@ class FlowAntisymmetryChecker final : public InvariantChecker {
       }
       if (na == 0) continue;
       if (algorithm == core::Algorithm::kPushCancelFlow) {
-        const auto ea = pcf_edge_view(view.node(a), b);
-        const auto eb = pcf_edge_view(view.node(b), a);
-        if (!ea || !eb) continue;
-        if (ea->role_count != eb->role_count || ea->role_count % 2 != 0) continue;
+        const auto ea = view.fleet().pcf_edge_state(a, b);
+        const auto eb = view.fleet().pcf_edge_state(b, a);
+        if (ea.role_count != eb.role_count || ea.role_count % 2 != 0) continue;
       }
       for (std::size_t s = 0; s < na; ++s) {
         if (!fb[s].is_negation_of(fa[s])) {
@@ -157,7 +139,7 @@ class FlowAntisymmetryChecker final : public InvariantChecker {
 
 // ---------------------------------------------------------------------------
 // PCF handshake discipline. These are receipt-driven properties of the
-// asymmetric handshake (see push_cancel_flow.hpp) and hold under EVERY
+// asymmetric handshake (see core/arena.hpp) and hold under EVERY
 // delivery model and under arbitrary message loss:
 //  * per-edge cycle counters never decrease;
 //  * completer cycle ≤ initiator cycle ≤ completer cycle + 1;
@@ -190,11 +172,8 @@ class PcfHandshakeChecker final : public InvariantChecker {
     for (std::size_t idx = 0; idx < edges_.size(); ++idx) {
       const auto [a, b] = edges_[idx];
       if (!view.alive(a) || !view.alive(b) || view.link_dead(a, b)) continue;
-      const auto ea_opt = pcf_edge_view(view.node(a), b);  // a is the initiator (a < b)
-      const auto eb_opt = pcf_edge_view(view.node(b), a);
-      if (!ea_opt || !eb_opt) return;
-      const auto& ea = *ea_opt;
-      const auto& eb = *eb_opt;
+      const auto ea = view.fleet().pcf_edge_state(a, b);  // a is the initiator (a < b)
+      const auto eb = view.fleet().pcf_edge_state(b, a);
       if ((ea.active_slot != 1 && ea.active_slot != 2) ||
           (eb.active_slot != 1 && eb.active_slot != 2)) {
         out.push_back({std::string(name()), view.time(),

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "core/arena.hpp"
 #include "core/reducer.hpp"
 #include "net/topology.hpp"
 #include "sim/metrics.hpp"
@@ -108,6 +109,9 @@ class SystemView {
   [[nodiscard]] virtual double time() const = 0;
   [[nodiscard]] virtual bool alive(NodeId i) const = 0;
   [[nodiscard]] virtual const core::Reducer& node(NodeId i) const = 0;
+  /// The state arena behind node(): checkers that need layout-level state
+  /// (the PCF handshake counters) probe it directly.
+  [[nodiscard]] virtual const core::ArenaFleet& fleet() const = 0;
   [[nodiscard]] virtual bool link_dead(NodeId a, NodeId b) const = 0;
   [[nodiscard]] virtual const Oracle& oracle() const = 0;
   [[nodiscard]] virtual FaultExposure faults() const = 0;
@@ -144,7 +148,7 @@ struct InvariantConfig {
   double mass_rel_tol = 1e-8;
   /// Loose bound applied once a PCF cancellation handshake may have been
   /// interrupted by a link failure (the two-generals window loses at most one
-  /// in-flight flow's mass; see push_cancel_flow.hpp).
+  /// in-flight flow's mass; see the PCF handshake note in core/arena.hpp).
   double mass_fault_tol = 0.5;
   /// Error-envelope: a violation fires when the max relative error exceeds
   /// max(envelope_factor × best-seen, envelope_floor) with no intervening

@@ -42,11 +42,8 @@ MatchingScheduleRunner::MatchingScheduleRunner(const net::Topology& topology,
       PCF_CHECK_MSG(topology.has_edge(a, b), "matching uses non-edge " << a << "-" << b);
     }
   }
-  nodes_.reserve(topology.size());
-  for (NodeId i = 0; i < topology.size(); ++i) {
-    nodes_.push_back(core::make_reducer(algorithm, reducer));
-    nodes_.back()->init(i, topology.neighbors(i), initial[i]);
-  }
+  fleet_ = std::make_unique<core::ArenaFleet>(algorithm, reducer, topology, initial);
+  nodes_ = core::make_facades(*fleet_, topology, initial);
 }
 
 void MatchingScheduleRunner::run(std::size_t rounds) {
@@ -59,8 +56,8 @@ void MatchingScheduleRunner::run(std::size_t rounds) {
     // causes and self-heals in the random engines, but which a schedule that
     // crosses on EVERY edge EVERY round would never recover from).
     for (const auto& [a, b] : matching) {
-      if (auto out = nodes_[a]->make_message_to(b)) nodes_[b]->on_receive(a, out->packet);
-      if (auto out = nodes_[b]->make_message_to(a)) nodes_[a]->on_receive(b, out->packet);
+      if (auto out = nodes_[a].make_message_to(b)) nodes_[b].on_receive(a, out->packet);
+      if (auto out = nodes_[b].make_message_to(a)) nodes_[a].on_receive(b, out->packet);
     }
     ++round_;
   }
@@ -69,7 +66,7 @@ void MatchingScheduleRunner::run(std::size_t rounds) {
 std::vector<double> MatchingScheduleRunner::estimates(std::size_t k) const {
   std::vector<double> out;
   out.reserve(nodes_.size());
-  for (const auto& n : nodes_) out.push_back(n->estimate(k));
+  for (const auto& n : nodes_) out.push_back(n.estimate(k));
   return out;
 }
 

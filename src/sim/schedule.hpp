@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/arena.hpp"
 #include "core/reducer.hpp"
 #include "net/topology.hpp"
 
@@ -30,7 +31,7 @@ using Matching = std::vector<MatchingEdge>;
 /// round).
 [[nodiscard]] std::vector<Matching> hypercube_matchings(std::size_t dims);
 
-/// Runs reducers round-robin over the given matchings: round r applies
+/// Runs the algorithm round-robin over the given matchings: round r applies
 /// matchings[r % matchings.size()]; every matched pair performs a sequential
 /// two-way exchange (a→b delivered, then b→a).
 class MatchingScheduleRunner {
@@ -43,12 +44,13 @@ class MatchingScheduleRunner {
   void run(std::size_t rounds);
 
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
-  [[nodiscard]] core::Reducer& node(NodeId i) { return *nodes_.at(i); }
-  [[nodiscard]] const core::Reducer& node(NodeId i) const { return *nodes_.at(i); }
+  [[nodiscard]] core::Reducer& node(NodeId i) { return nodes_.at(i); }
+  [[nodiscard]] const core::Reducer& node(NodeId i) const { return nodes_.at(i); }
   [[nodiscard]] std::vector<double> estimates(std::size_t k = 0) const;
 
  private:
-  std::vector<std::unique_ptr<core::Reducer>> nodes_;
+  std::unique_ptr<core::ArenaFleet> fleet_;  // stable address: nodes_ point into it
+  std::vector<core::ArenaReducer> nodes_;    // one facade per node
   std::vector<Matching> matchings_;
   std::size_t round_ = 0;
 };

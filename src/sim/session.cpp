@@ -19,16 +19,17 @@ SyncEngineConfig engine_config(const SessionOptions& options) {
   cfg.faults = options.faults;
   cfg.seed = options.seed;
   cfg.delivery = options.delivery;
-  cfg.mode = options.mode;
   cfg.shards = options.shards;
   cfg.invariants = options.invariants;
   // Field-count pin (the FaultPlan pin's pattern): if SyncEngineConfig grows
   // a field this stops compiling, forcing a decision on whether the session
-  // forwards it. The session once silently dropped mode/shards — engines ran
-  // legacy single-shard regardless of what the caller asked for.
+  // forwards it. The session once silently dropped shards — engines ran
+  // single-shard regardless of what the caller asked for. `mode` is not
+  // forwarded: it names the one state layout and exists for source
+  // compatibility only.
   {
-    [[maybe_unused]] const auto& [algorithm, reducer, faults, seed, delivery, mode, shards,
-                                  invariants] = cfg;
+    [[maybe_unused]] const auto& [algorithm, reducer, faults, seed, delivery, mode_unused,
+                                  shards, invariants] = cfg;
   }
   return cfg;
 }

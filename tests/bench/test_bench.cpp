@@ -66,13 +66,11 @@ TEST(MakeSuite, ScaleSuitesUseTheArenaEngine) {
   for (const char* name : {"scale", "scale-fast"}) {
     const auto suite = make_suite(name);
     EXPECT_GE(suite.size(), 5u) << name;
-    std::size_t arena_cells = 0, sharded_cells = 0;
+    std::size_t sharded_cells = 0;
     for (const auto& s : suite) {
       EXPECT_GT(s.fixed_rounds, 0u) << name << "/" << s.name;
-      if (s.engine == "arena") ++arena_cells;
       if (s.shards != 1) ++sharded_cells;
     }
-    EXPECT_GT(arena_cells, 0u) << name;
     EXPECT_GT(sharded_cells, 0u) << name;
   }
   // The baseline suite reaches 10^6 nodes (torus2d:1000x1000).
@@ -132,8 +130,9 @@ TEST(ReportToJson, EmitsVersionedSchemaWithoutExecutionParameters) {
   EXPECT_NE(json.find("\"algorithm\": \"corr\""), std::string::npos);
   EXPECT_NE(json.find("\"algorithm\": \"fumd\""), std::string::npos);
   // v2 additions: the engine/shard/delivery cell parameters are part of the
-  // scenario identity (CI gates diff on them).
-  EXPECT_NE(json.find("\"engine\": \"legacy\""), std::string::npos);
+  // scenario identity (CI gates diff on them). The arena is the one engine.
+  EXPECT_NE(json.find("\"engine\": \"arena\""), std::string::npos);
+  EXPECT_EQ(json.find("\"engine\": \"legacy\""), std::string::npos);
   EXPECT_NE(json.find("\"delivery\": \"sequential\""), std::string::npos);
   EXPECT_NE(json.find("\"shards\": "), std::string::npos);
   EXPECT_NE(json.find("\"fixed_rounds\": "), std::string::npos);

@@ -1,5 +1,3 @@
-#include "core/correction_allreduce.hpp"
-
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -78,12 +76,17 @@ TEST(CorrectionAllreduce, SurvivesDuplicationAndReordering) {
   EXPECT_LT(engine.max_error(), 1e-12);
 }
 
+/// Inputs of the 3-node bus tests: root 0 holds 6, mid 1 holds 3, leaf 2
+/// holds 9 (unit weights; the global average is 18 / 3).
+std::vector<Mass> bus3_masses() {
+  return {Mass::scalar(6.0, 1.0), Mass::scalar(3.0, 1.0), Mass::scalar(9.0, 1.0)};
+}
+
 TEST(CorrectionAllreduce, MassNeverMoves) {
-  const auto cfg = config_for(net::Topology::bus(3));
-  CorrectionAllreduce a{cfg}, b{cfg};
-  const std::vector<NodeId> na{1}, nb{0, 2};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
-  b.init(1, nb, Mass::scalar(3.0, 1.0));
+  const auto t = net::Topology::bus(3);
+  test::TestFleet fleet(Algorithm::kCorrectionAllreduce, t, bus3_masses(), config_for(t));
+  Reducer& a = fleet[0];
+  Reducer& b = fleet[1];
   const auto msg = b.make_message_to(0);
   ASSERT_TRUE(msg.has_value());
   a.on_receive(1, msg->packet);
@@ -95,11 +98,12 @@ TEST(CorrectionAllreduce, MassNeverMoves) {
 
 TEST(CorrectionAllreduce, ChildClaimsDriveSubtreeSums) {
   // Explicit chain 0 <- 1 <- 2 (auto would pick the star rooted at the hub 1).
-  const auto cfg = config_for(net::Topology::bus(3), net::TreeKind::kChain);
-  CorrectionAllreduce root{cfg}, mid{cfg}, leaf{cfg};
-  root.init(0, std::vector<NodeId>{1}, Mass::scalar(6.0, 1.0));
-  mid.init(1, std::vector<NodeId>{0, 2}, Mass::scalar(3.0, 1.0));
-  leaf.init(2, std::vector<NodeId>{1}, Mass::scalar(9.0, 1.0));
+  const auto t = net::Topology::bus(3);
+  test::TestFleet fleet(Algorithm::kCorrectionAllreduce, t, bus3_masses(),
+                        config_for(t, net::TreeKind::kChain));
+  Reducer& root = fleet[0];
+  Reducer& mid = fleet[1];
+  Reducer& leaf = fleet[2];
 
   // Leaf reports its subtree (itself) upward; mid folds it in.
   const auto up1 = leaf.make_message_to(1);
@@ -125,12 +129,14 @@ TEST(CorrectionAllreduce, ChildClaimsDriveSubtreeSums) {
 }
 
 TEST(CorrectionAllreduce, RetransmissionIsIdempotent) {
-  const auto cfg = config_for(net::Topology::bus(3));
-  CorrectionAllreduce mid1{cfg}, mid2{cfg}, leaf{cfg};
-  const std::vector<NodeId> nm{0, 2};
-  mid1.init(1, nm, Mass::scalar(3.0, 1.0));
-  mid2.init(1, nm, Mass::scalar(3.0, 1.0));
-  leaf.init(2, std::vector<NodeId>{1}, Mass::scalar(9.0, 1.0));
+  // Two copies of the mid node, so two fleets; the first fleet's leaf drives
+  // both.
+  const auto t = net::Topology::bus(3);
+  test::TestFleet one(Algorithm::kCorrectionAllreduce, t, bus3_masses(), config_for(t));
+  test::TestFleet two(Algorithm::kCorrectionAllreduce, t, bus3_masses(), config_for(t));
+  Reducer& mid1 = one[1];
+  Reducer& mid2 = two[1];
+  Reducer& leaf = one[2];
   const auto report = leaf.make_message_to(1);
   ASSERT_TRUE(report.has_value());
   mid1.on_receive(2, report->packet);
@@ -149,32 +155,35 @@ TEST(CorrectionAllreduce, ReattachesToNextUpwardNeighborOnParentLoss) {
   const auto t = net::Topology::ring(6);
   const auto cfg = config_for(t);
   ASSERT_EQ(cfg.tree->kind, net::TreeKind::kChain);
-  CorrectionAllreduce n5{cfg};
-  n5.init(5, t.neighbors(5), Mass::scalar(1.0, 1.0));
-  ASSERT_TRUE(n5.current_parent().has_value());
-  EXPECT_EQ(*n5.current_parent(), 0u);
+  const std::vector<Mass> masses(6, Mass::scalar(1.0, 1.0));
+  test::TestFleet fleet(Algorithm::kCorrectionAllreduce, t, masses, cfg);
+  Reducer& n5 = fleet[5];
+  const auto parent = [&] { return fleet.fleet().correction_parent(5); };
+  ASSERT_TRUE(parent().has_value());
+  EXPECT_EQ(*parent(), 0u);
 
   n5.on_link_down(0);
-  ASSERT_TRUE(n5.current_parent().has_value());
-  EXPECT_EQ(*n5.current_parent(), 4u);  // correction round: re-attach upward
+  ASSERT_TRUE(parent().has_value());
+  EXPECT_EQ(*parent(), 4u);  // correction round: re-attach upward
 
   // With no upward neighbor left the node becomes a fragment root and
   // honestly reports its fragment's aggregate — here just itself.
   n5.on_link_down(4);
-  EXPECT_FALSE(n5.current_parent().has_value());
+  EXPECT_FALSE(parent().has_value());
   EXPECT_DOUBLE_EQ(n5.estimate(), 1.0);
 
   // Healing restores the static attachment.
   n5.on_link_up(0);
-  ASSERT_TRUE(n5.current_parent().has_value());
-  EXPECT_EQ(*n5.current_parent(), 0u);
+  ASSERT_TRUE(parent().has_value());
+  EXPECT_EQ(*parent(), 0u);
 }
 
 TEST(CorrectionAllreduce, LinkDownDiscardsChildReportAndGlobalView) {
-  const auto cfg = config_for(net::Topology::bus(3), net::TreeKind::kChain);
-  CorrectionAllreduce mid{cfg}, leaf{cfg};
-  mid.init(1, std::vector<NodeId>{0, 2}, Mass::scalar(3.0, 1.0));
-  leaf.init(2, std::vector<NodeId>{1}, Mass::scalar(9.0, 1.0));
+  const auto t = net::Topology::bus(3);
+  test::TestFleet fleet(Algorithm::kCorrectionAllreduce, t, bus3_masses(),
+                        config_for(t, net::TreeKind::kChain));
+  Reducer& mid = fleet[1];
+  Reducer& leaf = fleet[2];
   const auto report = leaf.make_message_to(1);
   ASSERT_TRUE(report.has_value());
   mid.on_receive(2, report->packet);

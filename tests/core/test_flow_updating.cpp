@@ -1,6 +1,6 @@
-#include "core/flow_updating.hpp"
-
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "net/topology.hpp"
 #include "sim/engine_sync.hpp"
@@ -61,12 +61,18 @@ TEST(FlowUpdating, SurvivesLinkFailure) {
   EXPECT_LT(engine.max_error(), 1e-9);
 }
 
+std::vector<Mass> pair_masses(double a, double b) {
+  return {Mass::scalar(a, 1.0), Mass::scalar(b, 1.0)};
+}
+
 TEST(FlowUpdating, RetransmissionIsIdempotent) {
-  FlowUpdating a{{}}, b1{{}}, b2{{}};
-  const std::vector<NodeId> na{1}, nb{0};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
-  b1.init(1, nb, Mass::scalar(0.0, 1.0));
-  b2.init(1, nb, Mass::scalar(0.0, 1.0));
+  // Two copies of the receiver, so two fleets; the first fleet's sender
+  // drives both.
+  test::TestFleet one(Algorithm::kFlowUpdating, net::Topology::bus(2), pair_masses(6.0, 0.0));
+  test::TestFleet two(Algorithm::kFlowUpdating, net::Topology::bus(2), pair_masses(6.0, 0.0));
+  Reducer& a = one[0];
+  Reducer& b1 = one[1];
+  Reducer& b2 = two[1];
   const auto first = a.make_message_to(1);
   const auto second = a.make_message_to(1);
   b1.on_receive(0, first->packet);
@@ -77,9 +83,8 @@ TEST(FlowUpdating, RetransmissionIsIdempotent) {
 }
 
 TEST(FlowUpdating, FusedEstimateUsesNeighborReports) {
-  FlowUpdating a{{}};
-  const std::vector<NodeId> na{1};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
+  test::TestFleet fleet(Algorithm::kFlowUpdating, net::Topology::bus(2), pair_masses(6.0, 0.0));
+  Reducer& a = fleet[0];
   EXPECT_DOUBLE_EQ(a.estimate(), 6.0);  // no reports yet: own mass only
   Packet p;
   p.a = Mass::zero(1);               // no flow
@@ -89,9 +94,11 @@ TEST(FlowUpdating, FusedEstimateUsesNeighborReports) {
 }
 
 TEST(FlowUpdating, LinkDownDiscardsNeighborState) {
-  FlowUpdating a{{}};
-  const std::vector<NodeId> na{1, 2};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
+  // Node 0 is the hub of a 3-star: neighbors {1, 2}.
+  const std::vector<Mass> masses{Mass::scalar(6.0, 1.0), Mass::scalar(1.0, 1.0),
+                                 Mass::scalar(1.0, 1.0)};
+  test::TestFleet fleet(Algorithm::kFlowUpdating, net::Topology::star(3), masses);
+  Reducer& a = fleet[0];
   Packet p;
   p.a = Mass::scalar(1.0, 0.0);
   p.b = Mass::scalar(2.0, 1.0);

@@ -1,5 +1,3 @@
-#include "core/fu_mass_hybrid.hpp"
-
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -63,13 +61,16 @@ TEST(FuMassHybrid, SurvivesLinkFailure) {
   EXPECT_LT(engine.max_error(), 1e-9);
 }
 
+std::vector<Mass> pair_masses(double a, double b) {
+  return {Mass::scalar(a, 1.0), Mass::scalar(b, 1.0)};
+}
+
 TEST(FuMassHybrid, PairwiseStepHalvesTheReportedGap) {
   // MD's two-node step through FU's flow bookkeeping: once a knows b's mass,
   // a single exchange equalizes both at the pairwise average.
-  FuMassHybrid a{{}}, b{{}};
-  const std::vector<NodeId> na{1}, nb{0};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
-  b.init(1, nb, Mass::scalar(0.0, 1.0));
+  test::TestFleet fleet(Algorithm::kFuMassHybrid, net::Topology::bus(2), pair_masses(6.0, 0.0));
+  Reducer& a = fleet[0];
+  Reducer& b = fleet[1];
   // b reports first (no halving yet: no report of a's mass held).
   const auto hello = b.make_message_to(0);
   ASSERT_TRUE(hello.has_value());
@@ -86,11 +87,13 @@ TEST(FuMassHybrid, PairwiseStepHalvesTheReportedGap) {
 }
 
 TEST(FuMassHybrid, RetransmissionIsIdempotent) {
-  FuMassHybrid a{{}}, b1{{}}, b2{{}};
-  const std::vector<NodeId> na{1}, nb{0};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
-  b1.init(1, nb, Mass::scalar(0.0, 1.0));
-  b2.init(1, nb, Mass::scalar(0.0, 1.0));
+  // Two copies of the receiver, so two fleets; the first fleet's sender
+  // drives both.
+  test::TestFleet one(Algorithm::kFuMassHybrid, net::Topology::bus(2), pair_masses(6.0, 0.0));
+  test::TestFleet two(Algorithm::kFuMassHybrid, net::Topology::bus(2), pair_masses(6.0, 0.0));
+  Reducer& a = one[0];
+  Reducer& b1 = one[1];
+  Reducer& b2 = two[1];
   const auto first = a.make_message_to(1);
   const auto second = a.make_message_to(1);
   ASSERT_TRUE(first.has_value() && second.has_value());
@@ -103,9 +106,11 @@ TEST(FuMassHybrid, RetransmissionIsIdempotent) {
 }
 
 TEST(FuMassHybrid, LinkDownRestoresMovedMass) {
-  FuMassHybrid a{{}};
-  const std::vector<NodeId> na{1, 2};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
+  // Node 0 is the hub of a 3-star: neighbors {1, 2}.
+  const std::vector<Mass> masses{Mass::scalar(6.0, 1.0), Mass::scalar(1.0, 1.0),
+                                 Mass::scalar(1.0, 1.0)};
+  test::TestFleet fleet(Algorithm::kFuMassHybrid, net::Topology::star(3), masses);
+  Reducer& a = fleet[0];
   Packet p;
   p.a = Mass::zero(1);
   p.b = Mass::scalar(0.0, 1.0);  // neighbor 1 reports zero mass
@@ -122,10 +127,9 @@ TEST(FuMassHybrid, LinkDownRestoresMovedMass) {
 TEST(FuMassHybrid, StaleReportStillConservesMass) {
   // The paper's point: halving against a stale report is a worse step but a
   // SAFE one — the flow discipline conserves Σ m regardless.
-  FuMassHybrid a{{}}, b{{}};
-  const std::vector<NodeId> na{1}, nb{0};
-  a.init(0, na, Mass::scalar(8.0, 1.0));
-  b.init(1, nb, Mass::scalar(2.0, 1.0));
+  test::TestFleet fleet(Algorithm::kFuMassHybrid, net::Topology::bus(2), pair_masses(8.0, 2.0));
+  Reducer& a = fleet[0];
+  Reducer& b = fleet[1];
   const auto hello = b.make_message_to(0);
   ASSERT_TRUE(hello.has_value());
   a.on_receive(1, hello->packet);

@@ -6,33 +6,32 @@
 // clean alternating exchanges) the total mass must equal the initial mass
 // bit-for-bit up to FP rounding — this is the harness that uncovered the
 // role-adoption and stale-absorption races in the paper's original PCF
-// handshake (see push_cancel_flow.hpp).
+// handshake (see the PCF handshake note in core/arena.hpp).
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <map>
 #include <utility>
 
-#include "core/push_cancel_flow.hpp"
-#include "core/push_flow.hpp"
 #include "core/reducer.hpp"
+#include "test_util.hpp"
 
 namespace pcf::core {
 namespace {
 
+const std::vector<Mass> kTwoNodeMasses{Mass::scalar(3.0, 1.0), Mass::scalar(1.0, 1.0)};
+
 struct TwoNodeHarness {
-  std::unique_ptr<Reducer> a;
-  std::unique_ptr<Reducer> b;
+  test::TestFleet fleet;
+  Reducer* a;
+  Reducer* b;
   std::deque<Packet> ab;
   std::deque<Packet> ba;
 
-  TwoNodeHarness(Algorithm algorithm, const ReducerConfig& config) {
-    a = make_reducer(algorithm, config);
-    b = make_reducer(algorithm, config);
-    const std::vector<NodeId> na{1}, nb{0};
-    a->init(0, na, Mass::scalar(3.0, 1.0));
-    b->init(1, nb, Mass::scalar(1.0, 1.0));
-  }
+  TwoNodeHarness(Algorithm algorithm, const ReducerConfig& config)
+      : fleet(algorithm, net::Topology::bus(2), kTwoNodeMasses, config),
+        a(&fleet[0]),
+        b(&fleet[1]) {}
 
   void op(int kind) {
     switch (kind) {
@@ -184,23 +183,18 @@ TEST(InterleavingFuzzThreeNodes, PcfConservesOnLineUnderInterleaving) {
   // initiator toward 2) — exercises per-edge state independence.
   Rng rng(0xabc);
   for (int trial = 0; trial < 1500; ++trial) {
-    std::vector<std::unique_ptr<Reducer>> nodes;
-    const std::vector<NodeId> n0{1}, n1{0, 2}, n2{1};
-    nodes.push_back(make_reducer(Algorithm::kPushCancelFlow, {}));
-    nodes.push_back(make_reducer(Algorithm::kPushCancelFlow, {}));
-    nodes.push_back(make_reducer(Algorithm::kPushCancelFlow, {}));
-    nodes[0]->init(0, n0, Mass::scalar(5.0, 1.0));
-    nodes[1]->init(1, n1, Mass::scalar(-1.0, 1.0));
-    nodes[2]->init(2, n2, Mass::scalar(2.0, 1.0));
+    const std::vector<Mass> masses{Mass::scalar(5.0, 1.0), Mass::scalar(-1.0, 1.0),
+                                   Mass::scalar(2.0, 1.0)};
+    test::TestFleet nodes(Algorithm::kPushCancelFlow, net::Topology::bus(3), masses);
     // One FIFO queue per directed edge.
     std::map<std::pair<NodeId, NodeId>, std::deque<Packet>> wires;
     auto send = [&](NodeId from, NodeId to) {
-      if (auto out = nodes[from]->make_message_to(to)) wires[{from, to}].push_back(out->packet);
+      if (auto out = nodes[from].make_message_to(to)) wires[{from, to}].push_back(out->packet);
     };
     auto deliver = [&](NodeId from, NodeId to) {
       auto& q = wires[{from, to}];
       if (!q.empty()) {
-        nodes[to]->on_receive(from, q.front());
+        nodes[to].on_receive(from, q.front());
         q.pop_front();
       }
     };
@@ -222,9 +216,9 @@ TEST(InterleavingFuzzThreeNodes, PcfConservesOnLineUnderInterleaving) {
         deliver(x, y);
       }
     }
-    Mass total = nodes[0]->local_mass();
-    total += nodes[1]->local_mass();
-    total += nodes[2]->local_mass();
+    Mass total = nodes[0].local_mass();
+    total += nodes[1].local_mass();
+    total += nodes[2].local_mass();
     ASSERT_NEAR(total.s[0], 6.0, 1e-9) << "trial " << trial;
     ASSERT_NEAR(total.w, 3.0, 1e-9) << "trial " << trial;
   }

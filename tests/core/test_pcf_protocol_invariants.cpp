@@ -1,10 +1,12 @@
 // Cross-node protocol invariants of the re-derived PCF handshake, checked
 // live during engine runs on both delivery models. These are the properties
-// the push_cancel_flow.hpp design note claims; violating any of them would
+// the PCF handshake note in core/arena.hpp claims; violating any of them would
 // reopen a mass-leak window.
 #include <gtest/gtest.h>
 
-#include "core/push_cancel_flow.hpp"
+#include <array>
+
+#include "core/arena.hpp"
 #include "net/topology.hpp"
 #include "sim/engine_sync.hpp"
 #include "sim/reduce.hpp"
@@ -16,16 +18,14 @@ namespace {
 using test::make_engine;
 
 struct EdgeEnds {
-  PushCancelFlow::EdgeView initiator;  // lower node id's view
-  PushCancelFlow::EdgeView completer;
+  ArenaFleet::PcfEdgeView initiator;  // lower node id's view
+  ArenaFleet::PcfEdgeView completer;
 };
 
 EdgeEnds edge_ends(const sim::SyncEngine& engine, NodeId a, NodeId b) {
   const NodeId lo = std::min(a, b);
   const NodeId hi = std::max(a, b);
-  const auto& low_node = dynamic_cast<const PushCancelFlow&>(engine.node(lo));
-  const auto& high_node = dynamic_cast<const PushCancelFlow&>(engine.node(hi));
-  return {low_node.edge_state(hi), high_node.edge_state(lo)};
+  return {engine.fleet().pcf_edge_state(lo, hi), engine.fleet().pcf_edge_state(hi, lo)};
 }
 
 class PcfProtocolInvariants : public ::testing::TestWithParam<sim::Delivery> {};
@@ -71,8 +71,9 @@ TEST_P(PcfProtocolInvariants, BilateralStateStaysCoherent) {
       // not yet caught up), the initiator's passive slot is exactly zero.
       if (ends.initiator.role_count % 2 == 1 &&
           ends.initiator.role_count == ends.completer.role_count + 1) {
-        const Mass& passive =
-            ends.initiator.active_slot == 1 ? ends.initiator.flow2 : ends.initiator.flow1;
+        std::array<Mass, 2> slots;
+        ASSERT_EQ(engine.node(std::min(a, b)).flows_toward(std::max(a, b), slots), 2u);
+        const Mass& passive = slots[ends.initiator.active_slot == 1 ? 1 : 0];
         ASSERT_TRUE(passive.is_zero()) << "edge " << a << "-" << b << " round " << round;
       }
     }

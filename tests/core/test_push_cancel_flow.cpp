@@ -1,6 +1,6 @@
-#include "core/push_cancel_flow.hpp"
-
 #include <gtest/gtest.h>
+
+#include <array>
 
 #include "net/topology.hpp"
 #include "sim/engine_sync.hpp"
@@ -181,18 +181,21 @@ TEST(PushCancelFlow, CancellationZeroesPassiveFlowPair) {
   // observed mid-flight (one side swapped, the other not yet), so we look for
   // the settled state — agreeing roles with both passive slots exactly zero —
   // which must recur within a few exchanges.
-  PushCancelFlow a{robust_config()}, b{robust_config()};
-  const std::vector<NodeId> na{1}, nb{0};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
-  b.init(1, nb, Mass::scalar(2.0, 1.0));
+  const std::vector<Mass> masses{Mass::scalar(6.0, 1.0), Mass::scalar(2.0, 1.0)};
+  test::TestFleet fleet(Algorithm::kPushCancelFlow, net::Topology::bus(2), masses,
+                        robust_config());
+  Reducer& a = fleet[0];
+  Reducer& b = fleet[1];
   bool settled_state_seen = false;
   auto check_settled = [&] {
-    const auto ea = a.edge_state(1);
-    const auto eb = b.edge_state(0);
+    const auto ea = fleet.fleet().pcf_edge_state(0, 1);
+    const auto eb = fleet.fleet().pcf_edge_state(1, 0);
     if (ea.active_slot != eb.active_slot) return;
-    const Mass& a_passive = ea.active_slot == 1 ? ea.flow2 : ea.flow1;
-    const Mass& b_passive = eb.active_slot == 1 ? eb.flow2 : eb.flow1;
-    if (a_passive.is_zero() && b_passive.is_zero() && ea.role_count >= 2) {
+    std::array<Mass, 2> fa, fb;  // slot order: fa[s] pairs with fb[s]
+    ASSERT_EQ(a.flows_toward(1, fa), 2u);
+    ASSERT_EQ(b.flows_toward(0, fb), 2u);
+    const std::size_t passive = ea.active_slot == 1 ? 1 : 0;
+    if (fa[passive].is_zero() && fb[passive].is_zero() && ea.role_count >= 2) {
       settled_state_seen = true;
     }
   };
@@ -217,9 +220,8 @@ TEST(PushCancelFlow, RoleCountersAreMonotoneAndAdvance) {
   for (int round = 0; round < 200; ++round) {
     engine.step();
     for (NodeId i = 0; i < 6; ++i) {
-      const auto& node = dynamic_cast<const PushCancelFlow&>(engine.node(i));
       const NodeId left = (i + 5) % 6;
-      const auto view = node.edge_state(left);
+      const auto view = engine.fleet().pcf_edge_state(i, left);
       EXPECT_GE(view.role_count, last[i]) << "node " << i;
       last[i] = view.role_count;
     }
@@ -255,12 +257,12 @@ TEST(PushCancelFlow, ConvergedFlowRatioApproachesAggregate) {
   ASSERT_LT(engine.max_error(), 1e-13);
   const double target = engine.oracle().target();
   for (NodeId i = 0; i < t.size(); ++i) {
-    const auto& node = dynamic_cast<const PushCancelFlow&>(engine.node(i));
     for (const NodeId j : t.neighbors(i)) {
-      const auto view = node.edge_state(j);
-      for (const Mass* f : {&view.flow1, &view.flow2}) {
-        if (std::abs(f->w) > 1e-6) {
-          EXPECT_NEAR(f->s[0] / f->w, target, 1e-9) << "edge " << i << "-" << j;
+      std::array<Mass, 2> slots;
+      ASSERT_EQ(engine.node(i).flows_toward(j, slots), 2u);
+      for (const Mass& f : slots) {
+        if (std::abs(f.w) > 1e-6) {
+          EXPECT_NEAR(f.s[0] / f.w, target, 1e-9) << "edge " << i << "-" << j;
         }
       }
     }
@@ -268,9 +270,12 @@ TEST(PushCancelFlow, ConvergedFlowRatioApproachesAggregate) {
 }
 
 TEST(PushCancelFlow, StalePacketAfterExclusionIsIgnored) {
-  PushCancelFlow a{robust_config()};
-  const std::vector<NodeId> na{1, 2};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
+  // Node 0 is the hub of a 3-star: neighbors {1, 2}.
+  const std::vector<Mass> masses{Mass::scalar(6.0, 1.0), Mass::scalar(1.0, 1.0),
+                                 Mass::scalar(1.0, 1.0)};
+  test::TestFleet fleet(Algorithm::kPushCancelFlow, net::Topology::star(3), masses,
+                        robust_config());
+  Reducer& a = fleet[0];
   auto out = a.make_message_to(1);
   ASSERT_TRUE(out.has_value());
   a.on_link_down(1);
@@ -285,9 +290,10 @@ TEST(PushCancelFlow, StalePacketAfterExclusionIsIgnored) {
 }
 
 TEST(PushCancelFlow, CorruptHeaderIsIgnored) {
-  PushCancelFlow a{fast_config()};
-  const std::vector<NodeId> na{1};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
+  const std::vector<Mass> masses{Mass::scalar(6.0, 1.0), Mass::scalar(1.0, 1.0)};
+  test::TestFleet fleet(Algorithm::kPushCancelFlow, net::Topology::bus(2), masses,
+                        fast_config());
+  Reducer& a = fleet[0];
   const Mass before = a.local_mass();
   Packet bad;
   bad.a = Mass::scalar(1.0, 1.0);
@@ -313,8 +319,7 @@ TEST(PushCancelFlow, SimultaneousCancellationRaceResolves) {
   // the worst case for the handshake.
   engine.run(200);
   EXPECT_LT(engine.max_error(), 1e-12);
-  const auto& a = dynamic_cast<const PushCancelFlow&>(engine.node(0));
-  EXPECT_GE(a.edge_state(1).role_count, 2u);
+  EXPECT_GE(engine.fleet().pcf_edge_state(0, 1).role_count, 2u);
 }
 
 TEST(PushCancelFlow, CrossingDeliveryStillConverges) {

@@ -1,5 +1,3 @@
-#include "core/push_flow.hpp"
-
 #include <gtest/gtest.h>
 
 #include "net/topology.hpp"
@@ -11,33 +9,37 @@ namespace pcf::core {
 namespace {
 
 using test::bus_case_study_masses;
+using test::flow_toward;
 using test::make_engine;
 using test::total_mass;
 
+std::vector<Mass> pair_masses(double a, double b) {
+  return {Mass::scalar(a, 1.0), Mass::scalar(b, 1.0)};
+}
+
 TEST(PushFlow, VirtualSendFoldsHalfIntoFlow) {
-  PushFlow node{{}};
-  const std::vector<NodeId> nb{1};
-  node.init(0, nb, Mass::scalar(8.0, 2.0));
+  const std::vector<Mass> masses{Mass::scalar(8.0, 2.0), Mass::scalar(0.0, 1.0)};
+  test::TestFleet fleet(Algorithm::kPushFlow, net::Topology::bus(2), masses);
+  Reducer& node = fleet[0];
   Rng rng(1);
   const auto out = node.make_message(rng);
   ASSERT_TRUE(out.has_value());
   // Flow toward 1 now carries half; the local mass dropped to half.
-  EXPECT_DOUBLE_EQ(node.flow_to(1).s[0], 4.0);
+  EXPECT_DOUBLE_EQ(flow_toward(node, 1).s[0], 4.0);
   EXPECT_DOUBLE_EQ(node.local_mass().s[0], 4.0);
   // Physical packet is the whole flow variable, not the delta.
   EXPECT_DOUBLE_EQ(out->packet.a.s[0], 4.0);
 }
 
 TEST(PushFlow, ReceiverMirrorsWithExactNegation) {
-  PushFlow a{{}}, b{{}};
-  const std::vector<NodeId> na{1}, nb{0};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
-  b.init(1, nb, Mass::scalar(0.0, 1.0));
+  test::TestFleet fleet(Algorithm::kPushFlow, net::Topology::bus(2), pair_masses(6.0, 0.0));
+  Reducer& a = fleet[0];
+  Reducer& b = fleet[1];
   Rng rng(1);
   const auto out = a.make_message(rng);
   ASSERT_TRUE(out.has_value());
   b.on_receive(0, out->packet);
-  EXPECT_TRUE(b.flow_to(0).is_negation_of(a.flow_to(1)));
+  EXPECT_TRUE(flow_toward(b, 0).is_negation_of(flow_toward(a, 1)));
   // Mass moved: a has 3, b has 3 (their mass sum is conserved: 6).
   EXPECT_DOUBLE_EQ(a.local_mass().s[0], 3.0);
   EXPECT_DOUBLE_EQ(b.local_mass().s[0], 3.0);
@@ -45,12 +47,13 @@ TEST(PushFlow, ReceiverMirrorsWithExactNegation) {
 
 TEST(PushFlow, RetransmissionIsIdempotent) {
   // Losing a packet and receiving the next one gives the same state as
-  // receiving both — the flow is absolute, not a delta.
-  PushFlow a{{}}, b1{{}}, b2{{}};
-  const std::vector<NodeId> na{1}, nb{0};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
-  b1.init(1, nb, Mass::scalar(0.0, 1.0));
-  b2.init(1, nb, Mass::scalar(0.0, 1.0));
+  // receiving both — the flow is absolute, not a delta. Two copies of the
+  // receiver, so two fleets; the sender of the first one drives both.
+  test::TestFleet one(Algorithm::kPushFlow, net::Topology::bus(2), pair_masses(6.0, 0.0));
+  test::TestFleet two(Algorithm::kPushFlow, net::Topology::bus(2), pair_masses(6.0, 0.0));
+  Reducer& a = one[0];
+  Reducer& b1 = one[1];
+  Reducer& b2 = two[1];
   Rng rng(1);
   const auto first = a.make_message(rng);
   const auto second = a.make_message(rng);
@@ -62,10 +65,9 @@ TEST(PushFlow, RetransmissionIsIdempotent) {
 }
 
 TEST(PushFlow, BitFlipInFlowHealsAtNextDelivery) {
-  PushFlow a{{}}, b{{}};
-  const std::vector<NodeId> na{1}, nb{0};
-  a.init(0, na, Mass::scalar(6.0, 1.0));
-  b.init(1, nb, Mass::scalar(2.0, 1.0));
+  test::TestFleet fleet(Algorithm::kPushFlow, net::Topology::bus(2), pair_masses(6.0, 2.0));
+  Reducer& a = fleet[0];
+  Reducer& b = fleet[1];
   Rng rng(1);
   b.on_receive(0, a.make_message(rng)->packet);
   // Corrupt b's mirrored flow (as a bit flip in memory would).
@@ -75,7 +77,7 @@ TEST(PushFlow, BitFlipInFlowHealsAtNextDelivery) {
   EXPECT_NE(b.local_mass().s[0], 5.0);
   // The next regular delivery from a overwrites the corruption.
   b.on_receive(0, a.make_message(rng)->packet);
-  EXPECT_TRUE(b.flow_to(0).is_negation_of(a.flow_to(1)));
+  EXPECT_TRUE(flow_toward(b, 0).is_negation_of(flow_toward(a, 1)));
 }
 
 TEST(PushFlow, ConvergesOnHypercubeAvgAndSum) {
@@ -127,8 +129,7 @@ TEST(PushFlow, BusCutInvariantMatchesFig2ClosedForm) {
   engine.run_until_error(1e-13, 20000);
   ASSERT_LT(engine.max_error(), 1e-13);
   for (NodeId i = 0; i + 1 < n; ++i) {
-    const auto& node = dynamic_cast<const PushFlow&>(engine.node(i));
-    const auto& f = node.flow_to(i + 1);
+    const Mass f = flow_toward(engine.node(i), i + 1);
     const double expected = static_cast<double>(n - 1 - i);
     EXPECT_NEAR(f.s[0] - 2.0 * f.w, expected, 1e-6) << "edge " << i;
   }

@@ -1,5 +1,3 @@
-#include "core/push_sum.hpp"
-
 #include <gtest/gtest.h>
 
 #include "net/topology.hpp"
@@ -13,21 +11,22 @@ using test::make_engine;
 using test::total_mass;
 
 TEST(PushSum, InitRejectsDoubleInit) {
-  PushSum node{{}};
+  const std::vector<Mass> masses{Mass::scalar(1.0, 1.0), Mass::scalar(1.0, 1.0)};
+  test::TestFleet fleet(Algorithm::kPushSum, net::Topology::bus(2), masses);
   const std::vector<NodeId> nb{1};
-  node.init(0, nb, Mass::scalar(1.0, 1.0));
-  EXPECT_THROW(node.init(0, nb, Mass::scalar(1.0, 1.0)), ContractViolation);
+  EXPECT_THROW(fleet[0].init(0, nb, Mass::scalar(1.0, 1.0)), ContractViolation);
 }
 
 TEST(PushSum, InitRejectsEmptyNeighborhood) {
-  PushSum node{{}};
-  EXPECT_THROW(node.init(0, {}, Mass::scalar(1.0, 1.0)), ContractViolation);
+  const std::vector<Mass> masses{Mass::scalar(1.0, 1.0), Mass::scalar(1.0, 1.0)};
+  const auto isolated = net::Topology::from_edges(2, {});
+  EXPECT_THROW(test::TestFleet(Algorithm::kPushSum, isolated, masses), ContractViolation);
 }
 
 TEST(PushSum, SendPushesHalfTheMass) {
-  PushSum node{{}};
-  const std::vector<NodeId> nb{1};
-  node.init(0, nb, Mass::scalar(8.0, 2.0));
+  const std::vector<Mass> masses{Mass::scalar(8.0, 2.0), Mass::scalar(0.0, 1.0)};
+  test::TestFleet fleet(Algorithm::kPushSum, net::Topology::bus(2), masses);
+  Reducer& node = fleet[0];
   Rng rng(1);
   const auto out = node.make_message(rng);
   ASSERT_TRUE(out.has_value());
@@ -38,9 +37,9 @@ TEST(PushSum, SendPushesHalfTheMass) {
 }
 
 TEST(PushSum, ReceiveAddsMass) {
-  PushSum node{{}};
-  const std::vector<NodeId> nb{1};
-  node.init(0, nb, Mass::scalar(1.0, 1.0));
+  const std::vector<Mass> masses{Mass::scalar(1.0, 1.0), Mass::scalar(0.0, 1.0)};
+  test::TestFleet fleet(Algorithm::kPushSum, net::Topology::bus(2), masses);
+  Reducer& node = fleet[0];
   Packet p;
   p.a = Mass::scalar(3.0, 1.0);
   node.on_receive(1, p);
@@ -49,9 +48,9 @@ TEST(PushSum, ReceiveAddsMass) {
 }
 
 TEST(PushSum, IgnoresPacketsFromStrangers) {
-  PushSum node{{}};
-  const std::vector<NodeId> nb{1};
-  node.init(0, nb, Mass::scalar(1.0, 1.0));
+  const std::vector<Mass> masses{Mass::scalar(1.0, 1.0), Mass::scalar(0.0, 1.0)};
+  test::TestFleet fleet(Algorithm::kPushSum, net::Topology::bus(2), masses);
+  Reducer& node = fleet[0];
   Packet p;
   p.a = Mass::scalar(100.0, 1.0);
   node.on_receive(42, p);
@@ -100,9 +99,9 @@ TEST(PushSum, MessageLossDestroysTheResult) {
 }
 
 TEST(PushSum, NoLiveNeighborMeansNoMessage) {
-  PushSum node{{}};
-  const std::vector<NodeId> nb{1};
-  node.init(0, nb, Mass::scalar(1.0, 1.0));
+  const std::vector<Mass> masses{Mass::scalar(1.0, 1.0), Mass::scalar(0.0, 1.0)};
+  test::TestFleet fleet(Algorithm::kPushSum, net::Topology::bus(2), masses);
+  Reducer& node = fleet[0];
   node.on_link_down(1);
   Rng rng(1);
   EXPECT_FALSE(node.make_message(rng).has_value());
@@ -110,9 +109,10 @@ TEST(PushSum, NoLiveNeighborMeansNoMessage) {
 }
 
 TEST(PushSum, DuplicateLinkDownIsBenign) {
-  PushSum node{{}};
-  const std::vector<NodeId> nb{1, 2};
-  node.init(0, nb, Mass::scalar(1.0, 1.0));
+  // Node 0 is the hub of a 3-star: neighbors {1, 2}.
+  const std::vector<Mass> masses(3, Mass::scalar(1.0, 1.0));
+  test::TestFleet fleet(Algorithm::kPushSum, net::Topology::star(3), masses);
+  Reducer& node = fleet[0];
   node.on_link_down(1);
   node.on_link_down(1);
   EXPECT_EQ(node.live_degree(), 1u);

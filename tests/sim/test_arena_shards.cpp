@@ -61,7 +61,6 @@ SyncEngine make_arena_engine(const net::Topology& topology, Algorithm algorithm,
   cfg.faults = plan;
   cfg.seed = 99;
   cfg.delivery = delivery;
-  cfg.mode = EngineMode::kArena;
   cfg.shards = shards;
   cfg.invariants.enabled = true;
   return SyncEngine(topology, masses, cfg);

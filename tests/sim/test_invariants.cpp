@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <limits>
 
-#include "core/push_cancel_flow.hpp"
 #include "net/topology.hpp"
 #include "sim/engine_async.hpp"
 #include "sim/engine_sync.hpp"
@@ -196,23 +195,20 @@ class PairView final : public SystemView {
       : algorithm_(algorithm),
         topology_(net::Topology::bus(2)),
         masses_{core::Mass::scalar(v0, 1.0), core::Mass::scalar(v1, 1.0)},
-        oracle_(masses_) {
-    for (net::NodeId i = 0; i < 2; ++i) {
-      nodes_.push_back(core::make_reducer(algorithm, {}));
-      nodes_.back()->init(i, topology_.neighbors(i), masses_[i]);
-    }
-  }
+        oracle_(masses_),
+        nodes_(algorithm, topology_, masses_) {}
 
   [[nodiscard]] const net::Topology& topology() const override { return topology_; }
   [[nodiscard]] Algorithm algorithm() const override { return algorithm_; }
   [[nodiscard]] double time() const override { return 0.0; }
   [[nodiscard]] bool alive(net::NodeId) const override { return true; }
-  [[nodiscard]] const core::Reducer& node(net::NodeId i) const override { return *nodes_.at(i); }
+  [[nodiscard]] const core::Reducer& node(net::NodeId i) const override { return nodes_[i]; }
+  [[nodiscard]] const core::ArenaFleet& fleet() const override { return nodes_.fleet(); }
   [[nodiscard]] bool link_dead(net::NodeId, net::NodeId) const override { return false; }
   [[nodiscard]] const sim::Oracle& oracle() const override { return oracle_; }
   [[nodiscard]] FaultExposure faults() const override { return exposure; }
 
-  core::Reducer& mutable_node(net::NodeId i) { return *nodes_.at(i); }
+  core::Reducer& mutable_node(net::NodeId i) { return nodes_[i]; }
   FaultExposure exposure;  // defaults: clean sequential transport
 
  private:
@@ -220,7 +216,7 @@ class PairView final : public SystemView {
   net::Topology topology_;
   std::vector<core::Mass> masses_;
   sim::Oracle oracle_;
-  std::vector<std::unique_ptr<core::Reducer>> nodes_;
+  test::TestFleet nodes_;
 };
 
 TEST(PcfHandshakeChecker, ForgedCycleCounterViolatesTheSkewBound) {

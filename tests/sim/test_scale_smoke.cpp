@@ -37,7 +37,6 @@ TEST(ScaleSmoke, TorusHundredThousandNodesOneRoundPerAlgorithm) {
     SyncEngineConfig cfg;
     cfg.algorithm = algorithm;
     cfg.seed = 5;
-    cfg.mode = EngineMode::kArena;
     // Invariant scans are O(n·deg) per round — fine once, and exactly the
     // broad memory sweep a sanitizer build wants.
     cfg.invariants.enabled = true;
@@ -57,7 +56,6 @@ TEST(ScaleSmoke, ShardedCrossingRoundsAtTenThousandNodes) {
   cfg.algorithm = Algorithm::kPushCancelFlow;
   cfg.seed = 6;
   cfg.delivery = Delivery::kCrossing;
-  cfg.mode = EngineMode::kArena;
   cfg.shards = 4;
   cfg.invariants.enabled = true;
   SyncEngine engine(topology, masses, cfg);
@@ -75,14 +73,13 @@ TEST(ScaleSmoke, CrashAndRejoinOnHundredThousandNodes) {
   SyncEngineConfig cfg;
   cfg.algorithm = Algorithm::kFlowUpdating;
   cfg.seed = 8;
-  cfg.mode = EngineMode::kArena;
   cfg.faults.node_crashes.push_back({1.0, 50000});
   cfg.faults.node_rejoins.push_back({3.0, 50000});
   SyncEngine engine(topology, masses, cfg);
-  const std::size_t fleet_size = engine.fleet()->size();
+  const std::size_t fleet_size = engine.fleet().size();
   engine.run(4);
   EXPECT_TRUE(engine.node_alive(50000));
-  EXPECT_EQ(engine.fleet()->size(), fleet_size);
+  EXPECT_EQ(engine.fleet().size(), fleet_size);
   EXPECT_TRUE(std::isfinite(engine.node(50000).estimate(0)));
 }
 

@@ -156,32 +156,30 @@ TEST(ReductionSession, AverageAggregateSessions) {
   EXPECT_NEAR(reply.estimate(4), expected, 1e-9);
 }
 
-TEST(ReductionSession, ForwardsEngineModeShardsAndInvariants) {
+TEST(ReductionSession, ForwardsShardsAndInvariants) {
   // Regression: the session once forwarded only algorithm/reducer/faults/seed
-  // to the engine, silently dropping mode and shards — every session ran
-  // legacy single-shard no matter what the caller asked for.
+  // to the engine, silently dropping shards — every session ran single-shard
+  // no matter what the caller asked for.
   const auto t = net::Topology::ring(8);
   const auto values = test::random_values(t.size(), 23);
-  SessionOptions legacy_options;
-  legacy_options.seed = 23;
-  legacy_options.target_accuracy = 1e-10;
-  legacy_options.invariants.enabled = true;
-  SessionOptions arena_options = legacy_options;
-  arena_options.mode = EngineMode::kArena;
-  arena_options.shards = 2;
-  ReductionSession legacy(t, scalar_inputs(values), legacy_options);
-  ReductionSession arena(t, scalar_inputs(values), arena_options);
-  EXPECT_EQ(legacy.engine().fleet(), nullptr);
-  ASSERT_NE(arena.engine().fleet(), nullptr) << "options.mode was not forwarded";
-  EXPECT_NE(legacy.engine().invariants(), nullptr) << "options.invariants was not forwarded";
-  const auto a = legacy.query(scalar_inputs(values));
-  const auto b = arena.query(scalar_inputs(values));
-  // The arena layout's contract is bitwise-identical output, so the two
-  // sessions must agree exactly — which also proves the arena engine really
-  // ran (a half-forwarded config would still pass the fleet() probe above).
+  SessionOptions serial_options;
+  serial_options.seed = 23;
+  serial_options.target_accuracy = 1e-10;
+  serial_options.invariants.enabled = true;
+  SessionOptions sharded_options = serial_options;
+  sharded_options.shards = 2;
+  ReductionSession serial(t, scalar_inputs(values), serial_options);
+  ReductionSession sharded(t, scalar_inputs(values), sharded_options);
+  EXPECT_EQ(serial.engine().shards(), 1u);
+  EXPECT_EQ(sharded.engine().shards(), 2u) << "options.shards was not forwarded";
+  EXPECT_NE(serial.engine().invariants(), nullptr) << "options.invariants was not forwarded";
+  const auto a = serial.query(scalar_inputs(values));
+  const auto b = sharded.query(scalar_inputs(values));
+  // Sharded rounds are byte-identical to serial ones, so the two sessions
+  // must agree exactly.
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.estimates, b.estimates);
-  EXPECT_EQ(legacy.engine().state_fingerprint(), arena.engine().state_fingerprint());
+  EXPECT_EQ(serial.engine().state_fingerprint(), sharded.engine().state_fingerprint());
 }
 
 TEST(ReductionSession, BuffersUpdatesToDeadNodesAndReappliesOnRejoin) {

@@ -81,26 +81,25 @@ TEST(StateCorruption, SurvivorsStillReachConsensus) {
   EXPECT_LT(spread, 1e-9 * std::max(1.0, std::abs(est[0])));
 }
 
+const std::vector<core::Mass> kUnitPair{core::Mass::scalar(1.0, 1.0), core::Mass::scalar(1.0, 1.0)};
+
 TEST(StateCorruption, PushSumHasNoFlowStateToCorrupt) {
-  auto reducer = core::make_reducer(Algorithm::kPushSum);
-  const std::vector<net::NodeId> nb{1};
-  reducer->init(0, nb, core::Mass::scalar(1.0, 1.0));
+  test::TestFleet fleet(Algorithm::kPushSum, net::Topology::bus(2), kUnitPair);
   Rng rng(1);
-  EXPECT_FALSE(reducer->corrupt_stored_flow(rng));
+  EXPECT_FALSE(fleet[0].corrupt_stored_flow(rng));
 }
 
 TEST(StateCorruption, HookActuallyMutatesState) {
-  auto reducer = core::make_reducer(Algorithm::kPushFlow);
-  const std::vector<net::NodeId> nb{1};
-  reducer->init(0, nb, core::Mass::scalar(1.0, 1.0));
+  test::TestFleet fleet(Algorithm::kPushFlow, net::Topology::bus(2), kUnitPair);
+  core::Reducer& reducer = fleet[0];
   Rng send_rng(1);
-  (void)reducer->make_message(send_rng);  // put a nonzero value in the flow
-  const double before = reducer->max_abs_flow_component();
+  (void)reducer.make_message(send_rng);  // put a nonzero value in the flow
+  const double before = reducer.max_abs_flow_component();
   Rng rng(2);
   bool changed = false;
   for (int i = 0; i < 16 && !changed; ++i) {
-    ASSERT_TRUE(reducer->corrupt_stored_flow(rng));
-    changed = reducer->max_abs_flow_component() != before;
+    ASSERT_TRUE(reducer.corrupt_stored_flow(rng));
+    changed = reducer.max_abs_flow_component() != before;
   }
   EXPECT_TRUE(changed);
 }

@@ -1,8 +1,11 @@
 // Shared helpers for the pcflow test suite.
 #pragma once
 
+#include <array>
+#include <span>
 #include <vector>
 
+#include "core/arena.hpp"
 #include "core/mass.hpp"
 #include "net/topology.hpp"
 #include "sim/engine_sync.hpp"
@@ -26,6 +29,37 @@ inline std::vector<core::Mass> bus_case_study_masses(std::size_t n) {
   masses.push_back(core::Mass::scalar(static_cast<double>(n) + 1.0, 1.0));
   for (std::size_t i = 1; i < n; ++i) masses.push_back(core::Mass::scalar(1.0, 1.0));
   return masses;
+}
+
+/// A hand-driven system for the protocol unit tests: one core::ArenaFleet
+/// over a small topology plus an init()-ed ArenaReducer facade per node.
+/// Tests that need two copies of one node (a retransmission compared against
+/// a single delivery) build two fleets. Neither copyable nor movable: the
+/// facades point into the fleet.
+class TestFleet {
+ public:
+  TestFleet(core::Algorithm algorithm, const net::Topology& topology,
+            std::span<const core::Mass> initial, const core::ReducerConfig& config = {})
+      : fleet_(algorithm, config, topology, initial),
+        nodes_(core::make_facades(fleet_, topology, initial)) {}
+  TestFleet(const TestFleet&) = delete;
+  TestFleet& operator=(const TestFleet&) = delete;
+
+  [[nodiscard]] core::ArenaReducer& operator[](net::NodeId i) { return nodes_.at(i); }
+  [[nodiscard]] const core::ArenaReducer& operator[](net::NodeId i) const { return nodes_.at(i); }
+  [[nodiscard]] const core::ArenaFleet& fleet() const { return fleet_; }
+
+ private:
+  core::ArenaFleet fleet_;
+  std::vector<core::ArenaReducer> nodes_;
+};
+
+/// Flow slot 0 of `node` toward neighbor j (zero-dimensional when the node
+/// stores no flow toward j).
+inline core::Mass flow_toward(const core::Reducer& node, net::NodeId j) {
+  std::array<core::Mass, core::Reducer::kMaxFlowSlots> slots{};
+  (void)node.flows_toward(j, slots);
+  return slots[0];
 }
 
 /// Builds an engine over random scalar values.
