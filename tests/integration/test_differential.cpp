@@ -65,6 +65,12 @@ struct MatrixCase {
   double failure_time;  // late enough that the flow network has converged
 };
 
+// Without this gtest prints the raw object bytes, which include the string's
+// heap pointer, so the listed test names would change from run to run.
+void PrintTo(const MatrixCase& matrix_case, std::ostream* os) {
+  *os << matrix_case.topology << " failure_time=" << matrix_case.failure_time;
+}
+
 class DifferentialMatrix : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(DifferentialMatrix, NoFault) {
