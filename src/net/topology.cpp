@@ -34,29 +34,33 @@ Topology Topology::build(std::size_t n, std::vector<Edge> edges, std::string nam
     ++deg[a];
     ++deg[b];
   }
-  t.offsets_.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) t.offsets_[i + 1] = t.offsets_[i] + deg[i];
-  t.adjacency_.assign(t.offsets_[n], 0);
-  std::vector<std::size_t> cursor(t.offsets_.begin(), t.offsets_.end() - 1);
+  auto csr = std::make_shared<Csr>();
+  auto& offsets = csr->offsets;
+  auto& adjacency = csr->adjacency;
+  offsets.assign(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) offsets[i + 1] = offsets[i] + deg[i];
+  adjacency.assign(offsets[n], 0);
+  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
   for (const auto& [a, b] : edges) {
-    t.adjacency_[cursor[a]++] = b;
-    t.adjacency_[cursor[b]++] = a;
+    adjacency[cursor[a]++] = b;
+    adjacency[cursor[b]++] = a;
   }
   for (std::size_t i = 0; i < n; ++i) {
-    std::sort(t.adjacency_.begin() + static_cast<std::ptrdiff_t>(t.offsets_[i]),
-              t.adjacency_.begin() + static_cast<std::ptrdiff_t>(t.offsets_[i + 1]));
+    std::sort(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[i]),
+              adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[i + 1]));
   }
+  t.csr_ = std::move(csr);
   return t;
 }
 
 std::span<const NodeId> Topology::neighbors(NodeId i) const noexcept {
   PCF_ASSERT(i < size());
-  return {adjacency_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+  return {csr_->adjacency.data() + csr_->offsets[i], csr_->offsets[i + 1] - csr_->offsets[i]};
 }
 
 std::size_t Topology::degree(NodeId i) const noexcept {
   PCF_ASSERT(i < size());
-  return offsets_[i + 1] - offsets_[i];
+  return csr_->offsets[i + 1] - csr_->offsets[i];
 }
 
 bool Topology::has_edge(NodeId i, NodeId j) const noexcept {

@@ -4,10 +4,12 @@
 // neighbor set N_i and that the union graph is connected. This module builds
 // the topologies the paper evaluates (bus, 3D torus, hypercube) plus a set of
 // generic graphs used by tests and ablations. Graphs are undirected, simple,
-// and stored in CSR form for cache-friendly neighbor scans.
+// and stored in CSR form for cache-friendly neighbor scans. The CSR arrays
+// are immutable once built, so copies of a Topology share them.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -65,9 +67,11 @@ class Topology {
   /// "tree:N", "regular:N:D", "er:N:P", "smallworld:N:K:BETA", "ba:N:M".
   [[nodiscard]] static Topology parse(const std::string& spec, Rng& rng);
 
-  [[nodiscard]] std::size_t size() const noexcept { return offsets_.size() - 1; }
-  [[nodiscard]] std::size_t edge_count() const noexcept { return adjacency_.size() / 2; }
+  [[nodiscard]] std::size_t size() const noexcept { return csr_->offsets.size() - 1; }
+  [[nodiscard]] std::size_t edge_count() const noexcept { return csr_->adjacency.size() / 2; }
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId i) const noexcept;
+  /// CSR offsets (size n+1): neighbors(i)[k] is directed edge offsets()[i] + k.
+  [[nodiscard]] std::span<const std::size_t> offsets() const noexcept { return csr_->offsets; }
   [[nodiscard]] std::size_t degree(NodeId i) const noexcept;
   [[nodiscard]] bool has_edge(NodeId i, NodeId j) const noexcept;
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -90,8 +94,11 @@ class Topology {
   static Topology build(std::size_t n, std::vector<std::pair<NodeId, NodeId>> edges,
                         std::string name);
 
-  std::vector<std::size_t> offsets_;  // CSR offsets, size n+1
-  std::vector<NodeId> adjacency_;     // sorted neighbor lists
+  struct Csr {
+    std::vector<std::size_t> offsets;  // size n+1
+    std::vector<NodeId> adjacency;     // sorted neighbor lists
+  };
+  std::shared_ptr<const Csr> csr_;
   std::string name_;
 };
 

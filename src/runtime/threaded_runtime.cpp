@@ -6,15 +6,9 @@
 
 namespace pcf::runtime {
 
-namespace {
-std::pair<net::NodeId, net::NodeId> norm_edge(net::NodeId a, net::NodeId b) {
-  return a < b ? std::pair{a, b} : std::pair{b, a};
-}
-}  // namespace
-
 ThreadedRuntime::ThreadedRuntime(net::Topology topology,
                                  std::span<const core::Mass> initial, RuntimeConfig config)
-    : topology_(topology), config_(std::move(config)) {
+    : topology_(topology), config_(std::move(config)), dead_links_(topology_) {
   PCF_CHECK_MSG(initial.size() == topology.size(), "one initial mass per node required");
   if (config_.num_threads == 0) {
     config_.num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -40,14 +34,14 @@ ThreadedRuntime::ThreadedRuntime(net::Topology topology,
   }
 }
 
-void ThreadedRuntime::drain_node(net::NodeId i) {
-  for (auto& env : mailboxes_[i]->drain()) {
-    nodes_[i].on_receive(env.from, env.packet);
-    delivered_.fetch_add(1, std::memory_order_relaxed);
-  }
+std::size_t ThreadedRuntime::drain_node(net::NodeId i) {
+  const auto envelopes = mailboxes_[i]->drain();
+  for (const auto& env : envelopes) nodes_[i].on_receive(env.from, env.packet);
+  return envelopes.size();
 }
 
-void ThreadedRuntime::deliver(std::size_t worker_index, net::NodeId to, Envelope envelope) {
+void ThreadedRuntime::deliver(std::size_t worker_index, net::NodeId to, Envelope envelope,
+                              std::size_t& delivered) {
   if (config_.mailbox_capacity == 0) {
     mailboxes_[to]->push(std::move(envelope));
     return;
@@ -59,7 +53,7 @@ void ThreadedRuntime::deliver(std::size_t worker_index, net::NodeId to, Envelope
   // once, and if the box is still full shed the packet — gossip reductions
   // treat that exactly like wire loss, and the drop is counted.
   if (mailboxes_[to]->try_push(envelope)) return;
-  for (const net::NodeId n : shards_[worker_index]) drain_node(n);
+  for (const net::NodeId n : shards_[worker_index]) delivered += drain_node(n);
   if (mailboxes_[to]->try_push(std::move(envelope))) return;
   dropped_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -73,16 +67,20 @@ void ThreadedRuntime::worker(std::size_t worker_index, std::size_t steps_per_nod
   // box) would let one worker fire its entire budget of sends before anyone
   // replies — one giant burst instead of an iterative exchange, and the
   // computation barely mixes.
+  // Deliveries are counted locally and folded into the shared total once,
+  // so workers do not contend on one atomic per packet.
+  std::size_t delivered = 0;
   for (std::size_t step = 0; step < steps_per_node; ++step) {
     for (const net::NodeId i : shards_[worker_index]) {
-      drain_node(i);
+      delivered += drain_node(i);
       auto out = nodes_[i].make_message(node_rngs_[i]);
       if (!out) continue;
-      if (dead_links_.count(norm_edge(i, out->to)) != 0) continue;  // cable cut
-      deliver(worker_index, out->to, {i, std::move(out->packet)});
+      if (dead_links_.contains(i, out->to)) continue;  // cable cut
+      deliver(worker_index, out->to, {i, std::move(out->packet)}, delivered);
     }
     step_barrier.arrive_and_wait();
   }
+  delivered_.fetch_add(delivered, std::memory_order_relaxed);
 }
 
 void ThreadedRuntime::run(std::size_t steps_per_node) {
@@ -104,7 +102,9 @@ void ThreadedRuntime::run(std::size_t steps_per_node) {
   // in-flight traffic.
   {
     const auto timer = perf_.time(PerfCounters::Phase::kDrain);
-    for (net::NodeId i = 0; i < nodes_.size(); ++i) drain_node(i);
+    std::size_t delivered = 0;
+    for (net::NodeId i = 0; i < nodes_.size(); ++i) delivered += drain_node(i);
+    delivered_.fetch_add(delivered, std::memory_order_relaxed);
   }
   apply_pending_faults();  // events queued mid-phase land at this boundary
   perf_.rounds += steps_per_node;
@@ -159,7 +159,7 @@ void ThreadedRuntime::fail_link(net::NodeId a, net::NodeId b) {
   // race (and was, before this guard — found by tsan on the bench harness).
   PCF_CHECK_MSG(!workers_active(), "fail_link while a run() phase is active");
   PCF_CHECK_MSG(topology_.has_edge(a, b), "fail_link: no such link");
-  if (!dead_links_.insert(norm_edge(a, b)).second) return;
+  if (!dead_links_.insert(a, b)) return;
   nodes_[a].on_link_down(b);
   nodes_[b].on_link_down(a);
 }
@@ -168,7 +168,7 @@ void ThreadedRuntime::heal_link(net::NodeId a, net::NodeId b) {
   // Same contract as fail_link: dead_links_ is read lock-free by workers.
   PCF_CHECK_MSG(!workers_active(), "heal_link while a run() phase is active");
   PCF_CHECK_MSG(topology_.has_edge(a, b), "heal_link: no such link");
-  if (dead_links_.erase(norm_edge(a, b)) == 0) return;
+  if (dead_links_.erase(a, b) == 0) return;
   nodes_[a].on_link_up(b);
   nodes_[b].on_link_up(a);
 }

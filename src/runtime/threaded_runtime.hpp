@@ -17,12 +17,12 @@
 #include <atomic>
 #include <barrier>
 #include <memory>
-#include <set>
 #include <thread>
 #include <vector>
 
 #include "core/arena.hpp"
 #include "core/reducer.hpp"
+#include "net/link_set.hpp"
 #include "net/topology.hpp"
 #include "runtime/mailbox.hpp"
 #include "support/annotations.hpp"
@@ -86,6 +86,9 @@ class ThreadedRuntime {
   [[nodiscard]] std::vector<double> estimates(std::size_t k = 0) const;
   [[nodiscard]] core::Mass total_mass() const;
   [[nodiscard]] const core::Reducer& node(net::NodeId i) const { return nodes_.at(i); }
+  /// Packets delivered so far. Workers count locally and fold their totals
+  /// in when they finish, so the value is exact at phase boundaries (between
+  /// run() calls) and lags the true count while a phase is running.
   [[nodiscard]] std::size_t messages_delivered() const noexcept { return delivered_.load(); }
   /// True while a run() phase has worker threads up (test/guard hook).
   [[nodiscard]] bool workers_active() const noexcept {
@@ -96,8 +99,12 @@ class ThreadedRuntime {
 
  private:
   void worker(std::size_t worker_index, std::size_t steps_per_node, std::barrier<>& step_barrier);
-  void drain_node(net::NodeId i);
-  void deliver(std::size_t worker_index, net::NodeId to, Envelope envelope);
+  /// Delivers node i's queued envelopes; returns how many.
+  std::size_t drain_node(net::NodeId i);
+  /// `delivered` is the calling worker's local delivery count (bounded mode
+  /// drains the worker's own shard while a destination box is full).
+  void deliver(std::size_t worker_index, net::NodeId to, Envelope envelope,
+               std::size_t& delivered);
   void apply_pending_faults();  ///< caller guarantees workers are not active
 
   net::Topology topology_;
@@ -113,8 +120,8 @@ class ThreadedRuntime {
   std::vector<Rng> node_rngs_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<std::vector<net::NodeId>> shards_;  // nodes per worker
-  std::set<std::pair<net::NodeId, net::NodeId>> dead_links_;
-  std::atomic<std::size_t> delivered_{0};
+  net::LinkSet dead_links_;
+  std::atomic<std::size_t> delivered_{0};  // folded in per worker, per phase
   std::atomic<std::uint64_t> dropped_{0};  // bounded mode: envelopes shed after retry
   std::atomic<bool> workers_active_{false};
   PerfCounters perf_;  // phase-disciplined: written only while workers are down

@@ -8,6 +8,7 @@
 
 #include "sim/checkpoint.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <string>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/state_io.hpp"
+#include "net/link_set.hpp"
 #include "sim/engine_async.hpp"
 #include "sim/engine_sync.hpp"
 #include "support/binio.hpp"
@@ -236,23 +238,34 @@ void load_alive(BinaryReader& r, std::vector<bool>& alive) {
   for (std::size_t i = 0; i < alive.size(); ++i) alive[i] = r.boolean();
 }
 
-void save_link_set(BinaryWriter& w, const std::set<std::pair<NodeId, NodeId>>& links) {
+void save_link_set(BinaryWriter& w, const net::LinkSet& links) {
   w.u64(links.size());
-  for (const auto& [a, b] : links) {  // std::set iterates in sorted order (D2-safe)
+  for (const auto [a, b] : links) {  // (min, max) pairs, ascending (D2-safe)
     w.u32(a);
     w.u32(b);
   }
 }
 
-void load_link_set(BinaryReader& r, std::set<std::pair<NodeId, NodeId>>& links,
-                   std::size_t n) {
+/// Accepts exactly what save_link_set writes: topology edges as (min, max)
+/// pairs in strictly ascending order. Anything else is a corrupt blob.
+void load_link_set(BinaryReader& r, net::LinkSet& links, const net::Topology& topology) {
   links.clear();
   const std::size_t count = r.count(8);
+  std::pair<NodeId, NodeId> previous{0, 0};
   for (std::size_t i = 0; i < count; ++i) {
     const NodeId a = r.u32();
     const NodeId b = r.u32();
-    if (a >= n || b >= n) throw BinioError("link set checkpoint: node id out of range");
-    links.emplace(a, b);
+    const std::pair link{a, b};
+    if (a >= topology.size() || b >= topology.size()) {
+      throw BinioError("link set checkpoint: node id out of range");
+    }
+    if (a >= b) throw BinioError("link set checkpoint: link not normalized as (min, max)");
+    if (!topology.has_edge(a, b)) throw BinioError("link set checkpoint: not a topology edge");
+    if (i > 0 && !(previous < link)) {
+      throw BinioError("link set checkpoint: links not strictly ascending");
+    }
+    links.insert(a, b);
+    previous = link;
   }
 }
 
@@ -468,9 +481,9 @@ void SyncEngine::restore(std::string_view checkpoint) {
     load_rng(r, fault_rng_);
     for (Rng& rng : node_rngs_) load_rng(r, rng);
     load_alive(r, alive_);
-    load_link_set(r, dead_links_, nodes_.size());
-    load_link_set(r, cut_links_, nodes_.size());
-    load_link_set(r, falsely_excluded_, nodes_.size());
+    load_link_set(r, dead_links_, topology_);
+    load_link_set(r, cut_links_, topology_);
+    load_link_set(r, falsely_excluded_, topology_);
     pending_notices_.clear();
     const std::size_t notices = r.count(10);
     for (std::size_t i = 0; i < notices; ++i) {
@@ -507,10 +520,10 @@ void SyncEngine::restore(std::string_view checkpoint) {
   } catch (const BinioError& e) {
     throw CheckpointError(std::string("corrupt checkpoint body: ") + e.what());
   }
-  // Per-round scratch never outlives a step(), but clear defensively so a
-  // restore into a mid-lifetime engine cannot leak stale wire entries.
-  wire_.clear();
-  for (auto& shard : shard_wires_) shard.clear();
+  // The wire drains within every step(), but clear defensively so a restore
+  // into a mid-lifetime engine cannot leak stale wire entries.
+  std::fill(wire_present_.begin(), wire_present_.end(), std::uint8_t{0});
+  wire_count_ = 0;
 }
 
 std::uint64_t SyncEngine::state_fingerprint() const {
@@ -670,9 +683,9 @@ void AsyncEngine::restore(std::string_view checkpoint) {
     load_rng(r, net_rng_);
     for (Rng& rng : node_rngs_) load_rng(r, rng);
     load_alive(r, alive_);
-    load_link_set(r, dead_links_, nodes_.size());
-    load_link_set(r, cut_links_, nodes_.size());
-    load_link_set(r, falsely_excluded_, nodes_.size());
+    load_link_set(r, dead_links_, topology_);
+    load_link_set(r, cut_links_, topology_);
+    load_link_set(r, falsely_excluded_, topology_);
     heal_seq_.clear();
     const std::size_t heals = r.count(16);
     for (std::size_t i = 0; i < heals; ++i) {

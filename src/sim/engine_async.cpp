@@ -22,7 +22,7 @@ struct AsyncEngine::View final : SystemView {
   [[nodiscard]] const core::Reducer& node(NodeId i) const override { return engine.nodes_.at(i); }
   [[nodiscard]] const core::ArenaFleet& fleet() const override { return *engine.fleet_; }
   [[nodiscard]] bool link_dead(NodeId a, NodeId b) const override {
-    return engine.dead_links_.count(norm_edge(a, b)) != 0;
+    return engine.dead_links_.contains(a, b);
   }
   [[nodiscard]] const Oracle& oracle() const override { return engine.oracle_; }
   [[nodiscard]] FaultExposure faults() const override {
@@ -61,7 +61,10 @@ AsyncEngine::AsyncEngine(net::Topology topology, std::span<const core::Mass> ini
       config_(std::move(config)),
       net_rng_(Rng(config_.seed).fork(topology.size() + 7)),
       oracle_(initial),
-      initial_(initial.begin(), initial.end()) {
+      initial_(initial.begin(), initial.end()),
+      dead_links_(topology_),
+      cut_links_(topology_),
+      falsely_excluded_(topology_) {
   PCF_CHECK_MSG(initial.size() == topology.size(), "one initial mass per node required");
   PCF_CHECK_MSG(config_.tick_rate > 0.0, "tick_rate must be positive");
   PCF_CHECK_MSG(config_.latency_min >= 0.0 && config_.latency_max >= config_.latency_min,
@@ -133,10 +136,9 @@ void AsyncEngine::schedule_tick(NodeId node) {
 }
 
 void AsyncEngine::fail_link(NodeId a, NodeId b, bool independent) {
-  const auto edge = norm_edge(a, b);
-  if (!dead_links_.insert(edge).second) return;
-  if (independent) cut_links_.insert(edge);
-  falsely_excluded_.erase(edge);  // a real failure supersedes a false positive
+  if (!dead_links_.insert(a, b)) return;
+  if (independent) cut_links_.insert(a, b);
+  falsely_excluded_.erase(a, b);  // a real failure supersedes a false positive
   const double due = now_ + config_.faults.detection_delay;
   push({due, Event::Kind::kDetect, a, b, 0, 0.0, {}});
   push({due, Event::Kind::kDetect, b, a, 0, 0.0, {}});
@@ -151,13 +153,12 @@ void AsyncEngine::fail_link(NodeId a, NodeId b, bool independent) {
 }
 
 bool AsyncEngine::revive_link(NodeId a, NodeId b) {
-  const auto edge = norm_edge(a, b);
-  if (dead_links_.erase(edge) == 0) return false;
-  cut_links_.erase(edge);
+  if (dead_links_.erase(a, b) == 0) return false;
+  cut_links_.erase(a, b);
   ++link_heals_fired_;
   // Packets queued while the cable was cut were physically lost; remember the
   // heal epoch so kDelivery (and the in-flight mass snapshot) drop them.
-  heal_seq_[edge] = seq_;
+  heal_seq_[norm_edge(a, b)] = seq_;
   const double due = now_ + config_.faults.detection_delay;
   push({due, Event::Kind::kDetectUp, a, b, 0, 0.0, {}});
   push({due, Event::Kind::kDetectUp, b, a, 0, 0.0, {}});
@@ -195,7 +196,7 @@ void AsyncEngine::handle(const Event& e) {
       }
       auto out = nodes_[i].make_message(node_rngs_[i]);
       if (!out) return;
-      if (dead_links_.count(norm_edge(i, out->to)) != 0 || !alive_[out->to]) return;
+      if (dead_links_.contains(i, out->to) || !alive_[out->to]) return;
       const auto& plan = config_.faults;
       if (plan.message_loss_prob > 0.0 && net_rng_.chance(plan.message_loss_prob)) return;
       core::Packet packet = std::move(out->packet);
@@ -230,7 +231,7 @@ void AsyncEngine::handle(const Event& e) {
       // A packet already in flight when its link died is lost, matching a
       // physical cable cut rather than a graceful shutdown; one queued before
       // the link's last heal died with the outage (stale_delivery).
-      if (dead_links_.count(norm_edge(e.a, e.b)) != 0 || !alive_[e.b]) return;
+      if (dead_links_.contains(e.a, e.b) || !alive_[e.b]) return;
       if (stale_delivery(e)) return;
       nodes_[e.b].on_receive(e.a, e.packet);
       ++delivered_;
@@ -242,9 +243,8 @@ void AsyncEngine::handle(const Event& e) {
       fail_link(e.a, e.b, /*independent=*/true);
       return;
     case Event::Kind::kChurnFail: {
-      const auto edge = norm_edge(e.a, e.b);
       // A dead link (or endpoint) ends this chain; revive_link starts a new one.
-      if (!alive_[e.a] || !alive_[e.b] || dead_links_.count(edge) != 0) return;
+      if (!alive_[e.a] || !alive_[e.b] || dead_links_.contains(e.a, e.b)) return;
       ++link_failures_fired_;
       fail_link(e.a, e.b, /*independent=*/true);
       return;
@@ -268,8 +268,7 @@ void AsyncEngine::handle(const Event& e) {
       // rebooted from its local data would (its arena rows reset in place).
       fleet_->reset_node(i, initial_[i]);
       for (const NodeId peer : topology_.neighbors(i)) {
-        const auto edge = norm_edge(i, peer);
-        if (!alive_[peer] || cut_links_.count(edge) != 0) {
+        if (!alive_[peer] || cut_links_.contains(i, peer)) {
           // The peer is down, or the cable failed independently of the crash
           // and is still cut — exclude it immediately.
           nodes_[i].on_link_down(peer);
@@ -292,16 +291,15 @@ void AsyncEngine::handle(const Event& e) {
     case Event::Kind::kDetectUp: {
       --pending_up_notices_;
       // Report "up" only if the link did not die again during the delay.
-      if (alive_[e.a] && dead_links_.count(norm_edge(e.a, e.b)) == 0) {
+      if (alive_[e.a] && !dead_links_.contains(e.a, e.b)) {
         nodes_[e.a].on_link_up(e.b);
       }
       return;
     }
     case Event::Kind::kFalseDetect: {
-      const auto edge = norm_edge(e.a, e.b);
       // Only a live link between live nodes can be *falsely* suspected.
-      if (!alive_[e.a] || !alive_[e.b] || dead_links_.count(edge) != 0) return;
-      if (!falsely_excluded_.insert(edge).second) return;
+      if (!alive_[e.a] || !alive_[e.b] || dead_links_.contains(e.a, e.b)) return;
+      if (!falsely_excluded_.insert(e.a, e.b)) return;
       ++false_detects_fired_;
       // Both detectors report the link down; transport stays up, so packets
       // already in flight still arrive (and are dropped by the reducers).
@@ -311,9 +309,8 @@ void AsyncEngine::handle(const Event& e) {
       return;
     }
     case Event::Kind::kFalseClear: {
-      const auto edge = norm_edge(e.a, e.b);
-      if (falsely_excluded_.erase(edge) == 0) return;  // superseded by a real failure
-      if (alive_[e.a] && alive_[e.b] && dead_links_.count(edge) == 0) {
+      if (falsely_excluded_.erase(e.a, e.b) == 0) return;  // superseded by a real failure
+      if (alive_[e.a] && alive_[e.b] && !dead_links_.contains(e.a, e.b)) {
         ++false_clears_fired_;
         nodes_[e.a].on_link_up(e.b);
         nodes_[e.b].on_link_up(e.a);
@@ -333,7 +330,7 @@ void AsyncEngine::handle(const Event& e) {
       --pending_detects_;
       // Skip the report if the link healed (or the node rejoined and revived
       // it) while the detector was still counting down.
-      if (alive_[e.a] && dead_links_.count(norm_edge(e.a, e.b)) != 0) {
+      if (alive_[e.a] && dead_links_.contains(e.a, e.b)) {
         nodes_[e.a].on_link_down(e.b);
       }
       if (pending_retarget_) {
@@ -360,7 +357,7 @@ void AsyncEngine::append_in_flight_mass(std::vector<core::Mass>& masses) const {
   std::map<std::pair<NodeId, NodeId>, const Event*> newest;
   for (const Event& e : queue_.items()) {
     if (e.kind != Event::Kind::kDelivery) continue;
-    if (dead_links_.count(norm_edge(e.a, e.b)) != 0 || !alive_[e.b]) continue;
+    if (dead_links_.contains(e.a, e.b) || !alive_[e.b]) continue;
     if (stale_delivery(e)) continue;  // lost in a pre-heal outage
     if (nodes_[e.b].in_flight_mass_accumulates()) {
       core::Mass m = nodes_[e.b].unreceived_mass(e.a, e.packet);

@@ -14,11 +14,11 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "core/arena.hpp"
 #include "core/reducer.hpp"
+#include "net/link_set.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/event_heap.hpp"
 #include "sim/faults.hpp"
@@ -169,12 +169,12 @@ class AsyncEngine {
   Oracle oracle_;
   std::vector<core::Mass> initial_;  // per node — a rejoining node restarts from this
   std::vector<bool> alive_;
-  std::set<std::pair<NodeId, NodeId>> dead_links_;
+  net::LinkSet dead_links_;
   /// Links that failed independently of a crash (scheduled or churn); a
   /// rejoin does not revive these.
-  std::set<std::pair<NodeId, NodeId>> cut_links_;
+  net::LinkSet cut_links_;
   /// Live links currently excluded by a failure-detector false positive.
-  std::set<std::pair<NodeId, NodeId>> falsely_excluded_;
+  net::LinkSet falsely_excluded_;
   /// Per healed link: the event seq at heal time. Earlier-queued deliveries
   /// were in flight when the cable was cut and are dropped on arrival.
   std::map<std::pair<NodeId, NodeId>, std::uint64_t> heal_seq_;

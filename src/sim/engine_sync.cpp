@@ -1,7 +1,6 @@
 #include "sim/engine_sync.hpp"
 
 #include <algorithm>
-#include <iterator>
 
 #include "support/check.hpp"
 #include "support/parallel.hpp"
@@ -10,8 +9,9 @@
 namespace pcf::sim {
 
 namespace {
-std::pair<NodeId, NodeId> norm_edge(NodeId a, NodeId b) {
-  return a < b ? std::pair{a, b} : std::pair{b, a};
+/// Whether a pending notice concerns edge {a, b}.
+bool notice_on(NodeId node, NodeId peer, NodeId a, NodeId b) {
+  return (node == a && peer == b) || (node == b && peer == a);
 }
 }  // namespace
 
@@ -44,7 +44,7 @@ struct SyncEngine::View final : SystemView {
   [[nodiscard]] const core::Reducer& node(NodeId i) const override { return engine.nodes_.at(i); }
   [[nodiscard]] const core::ArenaFleet& fleet() const override { return *engine.fleet_; }
   [[nodiscard]] bool link_dead(NodeId a, NodeId b) const override {
-    return engine.dead_links_.count(norm_edge(a, b)) != 0;
+    return engine.dead_links_.contains(a, b);
   }
   [[nodiscard]] const Oracle& oracle() const override { return engine.oracle_; }
   [[nodiscard]] FaultExposure faults() const override {
@@ -100,7 +100,10 @@ SyncEngine::SyncEngine(net::Topology topology, std::span<const core::Mass> initi
       config_(std::move(config)),
       fault_rng_(Rng(config_.seed).fork(topology.size() + 1)),
       oracle_(initial),
-      initial_(initial.begin(), initial.end()) {
+      initial_(initial.begin(), initial.end()),
+      dead_links_(topology_),
+      cut_links_(topology_),
+      falsely_excluded_(topology_) {
   PCF_CHECK_MSG(initial.size() == topology.size(), "one initial mass per node required");
   PCF_CHECK_MSG(topology.is_connected(), "topology must be connected");
 
@@ -157,9 +160,8 @@ SyncEngine::SyncEngine(net::Topology topology, std::span<const core::Mass> initi
 }
 
 void SyncEngine::fail_link(NodeId a, NodeId b, double physical_time, bool independent) {
-  const auto edge = norm_edge(a, b);
-  if (!dead_links_.insert(edge).second) return;  // already dead
-  if (independent) cut_links_.insert(edge);
+  if (!dead_links_.insert(a, b)) return;  // already dead
+  if (independent) cut_links_.insert(a, b);
   const double due = physical_time + config_.faults.detection_delay;
   pending_notices_.push_back({due, a, b, false});
   pending_notices_.push_back({due, b, a, false});
@@ -172,19 +174,23 @@ void SyncEngine::fail_link(NodeId a, NodeId b, double physical_time, bool indepe
   }
 }
 
-void SyncEngine::revive_link(NodeId a, NodeId b, double physical_time) {
-  const auto edge = norm_edge(a, b);
-  if (dead_links_.erase(edge) == 0) return;  // already up
-  cut_links_.erase(edge);
+bool SyncEngine::heal_dead_link(NodeId a, NodeId b) {
+  if (dead_links_.erase(a, b) == 0) return false;  // already up
+  cut_links_.erase(a, b);
   ++link_heals_fired_;
   // Drop stale down-notices for this edge (a failure whose detection delay
   // has not elapsed yet): the detector never reports a link that is back up.
   pending_notices_.erase(
       std::remove_if(pending_notices_.begin(), pending_notices_.end(),
-                     [edge](const PendingNotice& n) {
-                       return !n.up && norm_edge(n.node, n.peer) == edge;
+                     [a, b](const PendingNotice& n) {
+                       return !n.up && notice_on(n.node, n.peer, a, b);
                      }),
       pending_notices_.end());
+  return true;
+}
+
+void SyncEngine::revive_link(NodeId a, NodeId b, double physical_time) {
+  if (!heal_dead_link(a, b)) return;
   const double due = physical_time + config_.faults.detection_delay;
   pending_notices_.push_back({due, a, b, true});
   pending_notices_.push_back({due, b, a, true});
@@ -201,13 +207,12 @@ void SyncEngine::rejoin_node(NodeId node, double physical_time) {
   // process, not a replay).
   fleet_->reset_node(node, initial_[node]);
   for (const NodeId peer : topology_.neighbors(node)) {
-    const auto edge = norm_edge(node, peer);
     // Crash-induced link failures revive with the node; independently cut
     // links (scheduled/explicit/churn) stay down until their own heal.
-    const bool stays_down = !alive_[peer] || cut_links_.count(edge) != 0;
+    const bool stays_down = !alive_[peer] || cut_links_.contains(node, peer);
     if (stays_down) {
       nodes_[node].on_link_down(peer);
-    } else if (dead_links_.count(edge) != 0) {
+    } else if (dead_links_.contains(node, peer)) {
       revive_link(node, peer, physical_time);
     }
   }
@@ -244,12 +249,21 @@ void SyncEngine::process_due_faults() {
     fail_link(f.a, f.b, f.time, /*independent=*/true);
   }
   // Churn: each live link between live nodes fails independently this round.
+  // The walk visits every edge once, from its lower endpoint's CSR row, in
+  // topology_.edges() order — so the fault_rng_ draws are in edge order.
   if (plan.churn_fail_prob > 0.0) {
-    for (const auto& [a, b] : topology_.edges()) {
-      if (!alive_[a] || !alive_[b] || dead_links_.count(norm_edge(a, b)) != 0) continue;
-      if (fault_rng_.chance(plan.churn_fail_prob)) {
-        ++churn_failures_fired_;
-        fail_link(a, b, now, /*independent=*/true);
+    for (NodeId a = 0; a < topology_.size(); ++a) {
+      if (!alive_[a]) continue;
+      const auto nbrs = topology_.neighbors(a);
+      const auto above =
+          static_cast<std::size_t>(std::upper_bound(nbrs.begin(), nbrs.end(), a) - nbrs.begin());
+      for (std::size_t k = above; k < nbrs.size(); ++k) {
+        const NodeId b = nbrs[k];
+        if (!alive_[b] || dead_links_.contains_at(a, k)) continue;
+        if (fault_rng_.chance(plan.churn_fail_prob)) {
+          ++churn_failures_fired_;
+          fail_link(a, b, now, /*independent=*/true);
+        }
       }
     }
   }
@@ -294,13 +308,12 @@ void SyncEngine::process_due_faults() {
   while (next_false_detect_ < plan.false_detects.size() &&
          plan.false_detects[next_false_detect_].time <= now) {
     const auto& e = plan.false_detects[next_false_detect_++];
-    const auto edge = norm_edge(e.a, e.b);
     // Only a LIVE link can be falsely detected down; transport stays up.
-    if (!alive_[e.a] || !alive_[e.b] || dead_links_.count(edge) != 0) continue;
+    if (!alive_[e.a] || !alive_[e.b] || dead_links_.contains(e.a, e.b)) continue;
     ++false_detects_fired_;
     nodes_[e.a].on_link_down(e.b);
     nodes_[e.b].on_link_down(e.a);
-    falsely_excluded_.insert(edge);
+    falsely_excluded_.insert(e.a, e.b);
     pending_clears_.push_back({e.time + e.clear_delay, e.a, e.b, 0.0});
   }
   if (!pending_clears_.empty()) {
@@ -313,10 +326,9 @@ void SyncEngine::process_due_faults() {
                                          }),
                           pending_clears_.end());
     for (const auto& e : due) {
-      const auto edge = norm_edge(e.a, e.b);
-      if (falsely_excluded_.erase(edge) == 0) continue;
+      if (falsely_excluded_.erase(e.a, e.b) == 0) continue;
       // "Detected up" — unless the link genuinely died in the meantime.
-      if (alive_[e.a] && alive_[e.b] && dead_links_.count(edge) == 0) {
+      if (alive_[e.a] && alive_[e.b] && !dead_links_.contains(e.a, e.b)) {
         ++false_clears_fired_;
         nodes_[e.a].on_link_up(e.b);
         nodes_[e.b].on_link_up(e.a);
@@ -351,8 +363,8 @@ void SyncEngine::process_due_faults() {
 
 void SyncEngine::fail_link_now(NodeId a, NodeId b) {
   PCF_CHECK_MSG(topology_.has_edge(a, b), "fail_link_now: no link " << a << "-" << b);
-  if (!dead_links_.insert(norm_edge(a, b)).second) return;
-  cut_links_.insert(norm_edge(a, b));
+  if (!dead_links_.insert(a, b)) return;
+  cut_links_.insert(a, b);
   ++explicit_link_failures_;
   if (alive_[a]) nodes_[a].on_link_down(b);
   if (alive_[b]) nodes_[b].on_link_down(a);
@@ -362,16 +374,7 @@ void SyncEngine::heal_link_now(NodeId a, NodeId b) {
   PCF_CHECK_MSG(topology_.has_edge(a, b), "heal_link_now: no link " << a << "-" << b);
   PCF_CHECK_MSG(alive_[a] && alive_[b],
                 "heal_link_now: endpoint crashed (a rejoin revives its links)");
-  const auto edge = norm_edge(a, b);
-  if (dead_links_.erase(edge) == 0) return;  // already up
-  cut_links_.erase(edge);
-  ++link_heals_fired_;
-  pending_notices_.erase(
-      std::remove_if(pending_notices_.begin(), pending_notices_.end(),
-                     [edge](const PendingNotice& n) {
-                       return !n.up && norm_edge(n.node, n.peer) == edge;
-                     }),
-      pending_notices_.end());
+  if (!heal_dead_link(a, b)) return;
   nodes_[a].on_link_up(b);
   nodes_[b].on_link_up(a);
 }
@@ -391,7 +394,6 @@ std::size_t SyncEngine::step() {
   }
   ++round_;
 
-  wire_.clear();
   auto& plan = config_.faults;
   {
     const auto timer = perf_.time(PerfCounters::Phase::kGossip);
@@ -437,8 +439,9 @@ void SyncEngine::send_phase(Ops& ops) {
     ++stats_.messages_sent;
     stats_.doubles_sent += ops.wire_masses(i) * (out->packet.a.dim() + 1);
     // Transport faults, in physical order: a dead link transports nothing;
-    // a live link may drop or corrupt the packet.
-    if (dead_links_.count(norm_edge(i, out->to)) != 0 || !alive_[out->to]) {
+    // a live link may drop or corrupt the packet. (The fleet's CSR slots are
+    // the topology's, so the receiver-side slot indexes the link set too.)
+    if (dead_links_.contains_at(out->to, out->to_slot) || !alive_[out->to]) {
       ++stats_.messages_dropped;
       continue;
     }
@@ -463,7 +466,9 @@ void SyncEngine::send_phase(Ops& ops) {
       }
     } else {
       if (plan.reorder_prob > 0.0) wire_reordered_ = true;
-      wire_.push_back({i, out->to, out->to_slot, std::move(out->packet)});
+      wire_[i] = std::move(*out);
+      wire_present_[i] = 1;
+      ++wire_count_;
     }
   }
 }
@@ -472,23 +477,21 @@ template <typename Ops>
 void SyncEngine::send_phase_sharded(Ops& ops) {
   // Preconditions (dispatch_send_phase): all packets go to the wire and the
   // send loop draws no fault_rng_ — only node_rngs_[i], which are per-node.
-  // Each shard owns a contiguous node block; concatenating the shard wires
-  // in block order reproduces the serial wire byte-for-byte.
+  // Each shard owns a contiguous node block and writes only its senders'
+  // wire slots, so the wire is the serial one byte-for-byte.
   auto& plan = config_.faults;
   const std::size_t n = nodes_.size();
   const std::size_t shards = std::min(shards_, n);
-  shard_wires_.resize(shards);
   struct Local {
     std::size_t sent = 0;
     std::size_t dropped = 0;
     std::size_t doubles = 0;
+    std::size_t wired = 0;
   };
   std::vector<Local> locals(shards);
   parallel_for_index(shards, shards, [&](std::size_t s) {
     const auto lo = static_cast<NodeId>(s * n / shards);
     const auto hi = static_cast<NodeId>((s + 1) * n / shards);
-    auto& wire = shard_wires_[s];
-    wire.clear();
     Local& local = locals[s];
     for (NodeId i = lo; i < hi; ++i) {
       if (!alive_[i]) continue;
@@ -496,52 +499,60 @@ void SyncEngine::send_phase_sharded(Ops& ops) {
       if (!out) continue;
       ++local.sent;
       local.doubles += ops.wire_masses(i) * (out->packet.a.dim() + 1);
-      if (dead_links_.count(norm_edge(i, out->to)) != 0 || !alive_[out->to]) {
+      if (dead_links_.contains_at(out->to, out->to_slot) || !alive_[out->to]) {
         ++local.dropped;
         continue;
       }
-      wire.push_back({i, out->to, out->to_slot, std::move(out->packet)});
+      wire_[i] = std::move(*out);
+      wire_present_[i] = 1;
+      ++local.wired;
     }
   });
-  for (std::size_t s = 0; s < shards; ++s) {
-    stats_.messages_sent += locals[s].sent;
-    stats_.messages_dropped += locals[s].dropped;
-    stats_.doubles_sent += locals[s].doubles;
-    wire_.insert(wire_.end(), std::make_move_iterator(shard_wires_[s].begin()),
-                 std::make_move_iterator(shard_wires_[s].end()));
+  for (const Local& local : locals) {
+    stats_.messages_sent += local.sent;
+    stats_.messages_dropped += local.dropped;
+    stats_.doubles_sent += local.doubles;
+    wire_count_ += local.wired;
   }
-  // Same flag the serial loop sets per pushed packet.
-  if (plan.reorder_prob > 0.0 && !wire_.empty()) wire_reordered_ = true;
+  // Same flag the serial loop sets per wired packet.
+  if (plan.reorder_prob > 0.0 && wire_count_ > 0) wire_reordered_ = true;
 }
 
 template <typename Ops>
 void SyncEngine::drain_phase(Ops& ops) {
   auto& plan = config_.faults;
+  // The present slots in ascending sender order: the order the serial send
+  // loop produced them.
+  drain_order_.clear();
+  for (NodeId i = 0; i < nodes_.size(); ++i) {
+    if (wire_present_[i] != 0) drain_order_.push_back(i);
+  }
   // Reordering: each packet is independently selected with reorder_prob; the
   // selected ones are delayed behind every unselected packet, in an order
   // shuffled among themselves — a bounded (within-round) delivery delay.
-  std::vector<std::size_t> order(wire_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (plan.reorder_prob > 0.0 && wire_.size() > 1) {
-    std::vector<std::size_t> on_time;
+  if (plan.reorder_prob > 0.0 && drain_order_.size() > 1) {
     std::vector<std::size_t> delayed;
-    on_time.reserve(wire_.size());
-    for (std::size_t i = 0; i < wire_.size(); ++i) {
-      (fault_rng_.chance(plan.reorder_prob) ? delayed : on_time).push_back(i);
+    std::size_t on_time = 0;
+    for (const std::size_t from : drain_order_) {
+      if (fault_rng_.chance(plan.reorder_prob)) {
+        delayed.push_back(from);
+      } else {
+        drain_order_[on_time++] = from;
+      }
     }
     fault_rng_.shuffle(std::span<std::size_t>(delayed));
-    order = std::move(on_time);
-    order.insert(order.end(), delayed.begin(), delayed.end());
+    std::copy(delayed.begin(), delayed.end(),
+              drain_order_.begin() + static_cast<std::ptrdiff_t>(on_time));
   }
-  for (const std::size_t idx : order) {
-    const auto& msg = wire_[idx];
+  for (const std::size_t from : drain_order_) {
+    const auto& msg = wire_[from];
     if (!alive_[msg.to]) continue;
     const bool dup = plan.duplicate_prob > 0.0 && fault_rng_.chance(plan.duplicate_prob);
-    ops.deliver(msg.to, msg.from, msg.to_slot, msg.packet);
+    ops.deliver(msg.to, static_cast<NodeId>(from), msg.to_slot, msg.packet);
     ++perf_.deliveries;
     if (dup) {
       ++stats_.messages_duplicated;
-      ops.deliver(msg.to, msg.from, msg.to_slot, msg.packet);
+      ops.deliver(msg.to, static_cast<NodeId>(from), msg.to_slot, msg.packet);
       ++perf_.deliveries;
     }
   }
@@ -551,18 +562,21 @@ template <typename Ops>
 void SyncEngine::drain_phase_sharded(Ops& ops) {
   // Preconditions (dispatch_drain_phase): no duplicate/reorder draws, so
   // delivery order only matters PER RECEIVER, and a receive mutates only the
-  // receiver's own arena rows. Stable counting sort by receiver, then shard
-  // over contiguous receiver ranges — each receiver sees its packets in the
-  // exact serial order, so the post-drain state is byte-identical.
+  // receiver's own arena rows. Stable counting sort of the present slots by
+  // receiver, then shard over contiguous receiver ranges — each receiver sees
+  // its packets in ascending sender order, the serial order, so the
+  // post-drain state is byte-identical.
   const std::size_t n = nodes_.size();
-  const std::size_t m = wire_.size();
-  drain_offsets_.assign(n + 1, 0);
-  for (const InFlight& msg : wire_) ++drain_offsets_[msg.to + 1];
-  for (std::size_t r = 0; r < n; ++r) drain_offsets_[r + 1] += drain_offsets_[r];
-  drain_sorted_.resize(m);
-  {
-    std::vector<std::size_t> cursor(drain_offsets_.begin(), drain_offsets_.end() - 1);
-    for (std::size_t idx = 0; idx < m; ++idx) drain_sorted_[cursor[wire_[idx].to]++] = idx;
+  // Counts land at [to + 2]; after the prefix sum [r + 1] is receiver r's
+  // start, and placing advances it to r's end, leaving [r, r + 1) = r's range.
+  drain_offsets_.assign(n + 2, 0);
+  for (NodeId i = 0; i < n; ++i) {
+    if (wire_present_[i] != 0) ++drain_offsets_[wire_[i].to + 2];
+  }
+  for (std::size_t r = 2; r < n + 2; ++r) drain_offsets_[r] += drain_offsets_[r - 1];
+  drain_order_.resize(wire_count_);
+  for (NodeId i = 0; i < n; ++i) {
+    if (wire_present_[i] != 0) drain_order_[drain_offsets_[wire_[i].to + 1]++] = i;
   }
   const std::size_t shards = std::min(shards_, n);
   std::vector<std::size_t> local_deliveries(shards, 0);
@@ -573,8 +587,9 @@ void SyncEngine::drain_phase_sharded(Ops& ops) {
     for (std::size_t r = lo; r < hi; ++r) {
       if (!alive_[r]) continue;
       for (std::size_t p = drain_offsets_[r]; p < drain_offsets_[r + 1]; ++p) {
-        const InFlight& msg = wire_[drain_sorted_[p]];
-        ops.deliver(msg.to, msg.from, msg.to_slot, msg.packet);
+        const std::size_t from = drain_order_[p];
+        const auto& msg = wire_[from];
+        ops.deliver(msg.to, static_cast<NodeId>(from), msg.to_slot, msg.packet);
         ++delivered;
       }
     }
@@ -583,102 +598,77 @@ void SyncEngine::drain_phase_sharded(Ops& ops) {
   for (const std::size_t d : local_deliveries) perf_.deliveries += d;
 }
 
-template <typename Ops>
-void SyncEngine::run_gossip(Ops& ops, bool send_sharded) {
-  if (send_sharded) {
-    send_phase_sharded(ops);
-  } else {
-    send_phase(ops);
-  }
-}
-
-template <typename Ops>
-void SyncEngine::run_drain(Ops& ops, bool drain_sharded) {
-  if (drain_sharded) {
-    drain_phase_sharded(ops);
-  } else {
-    drain_phase(ops);
+template <typename F>
+void SyncEngine::with_ops(F&& f) {
+  switch (config_.algorithm) {
+    case core::Algorithm::kPushSum: {
+      ArenaOps<core::Algorithm::kPushSum> ops{*this};
+      f(ops);
+      return;
+    }
+    case core::Algorithm::kPushFlow: {
+      ArenaOps<core::Algorithm::kPushFlow> ops{*this};
+      f(ops);
+      return;
+    }
+    case core::Algorithm::kPushCancelFlow: {
+      ArenaOps<core::Algorithm::kPushCancelFlow> ops{*this};
+      f(ops);
+      return;
+    }
+    case core::Algorithm::kFlowUpdating: {
+      ArenaOps<core::Algorithm::kFlowUpdating> ops{*this};
+      f(ops);
+      return;
+    }
+    case core::Algorithm::kCorrectionAllreduce: {
+      ArenaOps<core::Algorithm::kCorrectionAllreduce> ops{*this};
+      f(ops);
+      return;
+    }
+    case core::Algorithm::kFuMassHybrid: {
+      ArenaOps<core::Algorithm::kFuMassHybrid> ops{*this};
+      f(ops);
+      return;
+    }
   }
 }
 
 void SyncEngine::dispatch_send_phase() {
   const auto& plan = config_.faults;
   const bool via_wire = config_.delivery == Delivery::kCrossing || plan.reorder_prob > 0.0;
+  if (via_wire && wire_.empty()) {
+    wire_.resize(nodes_.size());
+    wire_present_.assign(nodes_.size(), 0);
+  }
   // Sharding needs a send loop with no shared-RNG draws (loss/flip) and no
   // cross-node state mutation (immediate delivery).
   const bool sharded = shards_ > 1 && nodes_.size() > 1 && via_wire &&
                        plan.message_loss_prob == 0.0 && plan.bit_flip_prob == 0.0;
-  switch (config_.algorithm) {
-    case core::Algorithm::kPushSum: {
-      ArenaOps<core::Algorithm::kPushSum> ops{*this};
-      run_gossip(ops, sharded);
-      return;
+  with_ops([&](auto& ops) {
+    if (sharded) {
+      send_phase_sharded(ops);
+    } else {
+      send_phase(ops);
     }
-    case core::Algorithm::kPushFlow: {
-      ArenaOps<core::Algorithm::kPushFlow> ops{*this};
-      run_gossip(ops, sharded);
-      return;
-    }
-    case core::Algorithm::kPushCancelFlow: {
-      ArenaOps<core::Algorithm::kPushCancelFlow> ops{*this};
-      run_gossip(ops, sharded);
-      return;
-    }
-    case core::Algorithm::kFlowUpdating: {
-      ArenaOps<core::Algorithm::kFlowUpdating> ops{*this};
-      run_gossip(ops, sharded);
-      return;
-    }
-    case core::Algorithm::kCorrectionAllreduce: {
-      ArenaOps<core::Algorithm::kCorrectionAllreduce> ops{*this};
-      run_gossip(ops, sharded);
-      return;
-    }
-    case core::Algorithm::kFuMassHybrid: {
-      ArenaOps<core::Algorithm::kFuMassHybrid> ops{*this};
-      run_gossip(ops, sharded);
-      return;
-    }
-  }
+  });
 }
 
 void SyncEngine::dispatch_drain_phase() {
+  if (wire_count_ == 0) return;
   const auto& plan = config_.faults;
   // Sharding needs a drain with no per-delivery fault_rng_ draws.
-  const bool sharded = shards_ > 1 && wire_.size() > 1 && plan.duplicate_prob == 0.0 &&
+  const bool sharded = shards_ > 1 && wire_count_ > 1 && plan.duplicate_prob == 0.0 &&
                        plan.reorder_prob == 0.0;
-  switch (config_.algorithm) {
-    case core::Algorithm::kPushSum: {
-      ArenaOps<core::Algorithm::kPushSum> ops{*this};
-      run_drain(ops, sharded);
-      return;
+  with_ops([&](auto& ops) {
+    if (sharded) {
+      drain_phase_sharded(ops);
+    } else {
+      drain_phase(ops);
     }
-    case core::Algorithm::kPushFlow: {
-      ArenaOps<core::Algorithm::kPushFlow> ops{*this};
-      run_drain(ops, sharded);
-      return;
-    }
-    case core::Algorithm::kPushCancelFlow: {
-      ArenaOps<core::Algorithm::kPushCancelFlow> ops{*this};
-      run_drain(ops, sharded);
-      return;
-    }
-    case core::Algorithm::kFlowUpdating: {
-      ArenaOps<core::Algorithm::kFlowUpdating> ops{*this};
-      run_drain(ops, sharded);
-      return;
-    }
-    case core::Algorithm::kCorrectionAllreduce: {
-      ArenaOps<core::Algorithm::kCorrectionAllreduce> ops{*this};
-      run_drain(ops, sharded);
-      return;
-    }
-    case core::Algorithm::kFuMassHybrid: {
-      ArenaOps<core::Algorithm::kFuMassHybrid> ops{*this};
-      run_drain(ops, sharded);
-      return;
-    }
-  }
+  });
+  std::fill(wire_present_.begin(), wire_present_.end(), std::uint8_t{0});
+  wire_count_ = 0;
 }
 
 void SyncEngine::run(std::size_t rounds) {

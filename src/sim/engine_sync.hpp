@@ -12,12 +12,12 @@
 #pragma once
 
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "core/arena.hpp"
 #include "core/reducer.hpp"
 #include "core/stopping.hpp"
+#include "net/link_set.hpp"
 #include "net/topology.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/faults.hpp"
@@ -203,17 +203,20 @@ class SyncEngine {
   void check_invariants(bool force);
   void process_due_faults();
   void fail_link(NodeId a, NodeId b, double physical_time, bool independent);
-  /// Revives a dead link: clears the dead/cut marks, drops its stale pending
-  /// down-notices, and schedules on_link_up at both endpoints for
-  /// `time + detection_delay`. Caller has checked both endpoints are alive.
+  /// Clears a dead link's dead/cut marks, counts the heal and drops its stale
+  /// pending down-notices. False (and no effect) if the link was up.
+  bool heal_dead_link(NodeId a, NodeId b);
+  /// Revives a dead link (heal_dead_link) and schedules on_link_up at both
+  /// endpoints for `time + detection_delay`. Caller has checked both
+  /// endpoints are alive.
   void revive_link(NodeId a, NodeId b, double physical_time);
   void rejoin_node(NodeId node, double physical_time);
   void deliver_notifications_due();
 
   // Round phases, templated on the algorithm's ops (ArenaOps<A> inlines the
   // fleet's flat-array send/receive). The *_sharded variants split the node
-  // range into `shards_` contiguous blocks and merge in block order —
-  // byte-identical to the serial phase.
+  // range into `shards_` contiguous blocks; every sender owns its wire slot,
+  // so the result is byte-identical to the serial phase.
   template <typename Ops>
   void send_phase(Ops& ops);
   template <typename Ops>
@@ -222,10 +225,9 @@ class SyncEngine {
   void drain_phase(Ops& ops);
   template <typename Ops>
   void drain_phase_sharded(Ops& ops);
-  template <typename Ops>
-  void run_gossip(Ops& ops, bool send_sharded);
-  template <typename Ops>
-  void run_drain(Ops& ops, bool drain_sharded);
+  /// Calls f(ops) with the ArenaOps of the configured algorithm.
+  template <typename F>
+  void with_ops(F&& f);
   void dispatch_send_phase();
   void dispatch_drain_phase();
 
@@ -239,13 +241,13 @@ class SyncEngine {
   Oracle oracle_;
   std::vector<core::Mass> initial_;  // per node — a rejoining node restarts from this
   std::vector<bool> alive_;
-  std::set<std::pair<NodeId, NodeId>> dead_links_;  // normalized (min,max); transport cut
+  net::LinkSet dead_links_;  // transport cut
   /// Links that failed independently of a node crash (scheduled, explicit, or
   /// churn). A rejoin revives a crashed node's links EXCEPT these — the cable
   /// is still cut; only a heal event (or churn heal) restores them.
-  std::set<std::pair<NodeId, NodeId>> cut_links_;
+  net::LinkSet cut_links_;
   /// Live links currently excluded by a failure-detector false positive.
-  std::set<std::pair<NodeId, NodeId>> falsely_excluded_;
+  net::LinkSet falsely_excluded_;
   struct PendingNotice {
     double due_time;
     NodeId node;  // who gets the callback
@@ -284,17 +286,16 @@ class SyncEngine {
   std::size_t false_detects_fired_ = 0;
   std::size_t false_clears_fired_ = 0;
 
-  struct InFlight {
-    NodeId from;
-    NodeId to;
-    /// Receiver-side slot of the sender.
-    std::uint32_t to_slot = 0;
-    core::Packet packet;
-  };
-  std::vector<InFlight> wire_;  // reused per round
-  std::vector<std::vector<InFlight>> shard_wires_;  // per-shard send buffers, reused
-  std::vector<std::size_t> drain_offsets_;  // per-receiver wire ranges, reused
-  std::vector<std::size_t> drain_sorted_;   // wire indices sorted by receiver, reused
+  /// The round's wire (crossing delivery, or any reordering): one slot per
+  /// sender, since a node sends at most one packet per round. wire_[i] holds
+  /// node i's packet iff wire_present_[i]; the drain empties it. Sized on the
+  /// first wire round, reused after. The flags are bytes, not vector<bool>:
+  /// shards set their own senders' flags concurrently.
+  std::vector<core::ArenaFleet::Send> wire_;
+  std::vector<std::uint8_t> wire_present_;
+  std::size_t wire_count_ = 0;              // present slots
+  std::vector<std::size_t> drain_offsets_;  // per-receiver ranges of drain_order_, reused
+  std::vector<std::size_t> drain_order_;    // senders in delivery order, reused
 };
 
 }  // namespace pcf::sim

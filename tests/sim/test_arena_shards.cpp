@@ -1,13 +1,14 @@
 // Thread-count determinism: the sharded arena round loop must be
-// BYTE-identical to the serial one at every shard count. Sharded sends merge
-// per-shard wires in contiguous-node-block order (= serial wire order);
-// sharded drains counting-sort the wire by receiver (stable, = serial
-// delivery order per receiver). Anything observable — node state bits, run
-// counters, oracle error — must not depend on `shards`.
+// BYTE-identical to the serial one at every shard count. Every sender owns
+// one wire slot, so sharded sends fill the same wire the serial loop does;
+// sharded drains counting-sort the present slots by receiver (stable, =
+// serial delivery order per receiver). Anything observable — node state bits,
+// run counters, oracle error — must not depend on `shards`.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "sim/engine_sync.hpp"
@@ -111,6 +112,56 @@ TEST_P(ArenaShards, LifecycleFaultsStayIdenticalAcrossShardCounts) {
     sharded.run(35);
     EXPECT_EQ(fingerprint(sharded, topology), expected) << "shards=" << shards;
     EXPECT_EQ(sharded.stats().messages_dropped, serial.stats().messages_dropped);
+  }
+}
+
+// The churn-recover shape at small n: churn failures and heals, a crash and
+// its rejoin under crossing delivery, then every dead link healed and a quiet
+// recovery. Churn decides which links are dead while the sharded phases read
+// that state, so the dead set itself must match too.
+TEST_P(ArenaShards, ChurnCrashAndRecoveryStayIdenticalAcrossShardCounts) {
+  Rng topo_rng(5);
+  const auto topology = net::Topology::random_regular(120, 6, topo_rng);
+  FaultPlan plan;
+  plan.detection_delay = 2.0;  // senders keep using a dead link until detected
+  plan.churn_fail_prob = 0.01;
+  plan.churn_heal_rate = 0.1;
+  plan.node_crashes.push_back({10.0, 60});
+  plan.node_rejoins.push_back({24.0, 60});
+  constexpr std::size_t kChaosRounds = 40;
+  constexpr std::size_t kRecoveryRounds = 30;
+
+  struct Outcome {
+    std::vector<std::uint64_t> chaos_fingerprint;
+    std::vector<std::pair<NodeId, NodeId>> dead_at_chaos_end;
+    std::size_t messages_dropped = 0;
+    std::vector<std::uint64_t> final_fingerprint;
+  };
+  const auto run = [&](std::size_t shards) {
+    SyncEngine engine = make_arena_engine(topology, GetParam(), shards, plan, Delivery::kCrossing);
+    engine.run(kChaosRounds);
+    Outcome out;
+    out.chaos_fingerprint = fingerprint(engine, topology);
+    out.dead_at_chaos_end = engine.dead_links();
+    out.messages_dropped = engine.stats().messages_dropped;
+    engine.mutable_faults().churn_fail_prob = 0.0;
+    engine.mutable_faults().churn_heal_rate = 0.0;
+    for (const auto& [a, b] : out.dead_at_chaos_end) engine.heal_link_now(a, b);
+    engine.run(kRecoveryRounds);
+    EXPECT_TRUE(engine.dead_links().empty());
+    out.final_fingerprint = fingerprint(engine, topology);
+    return out;
+  };
+
+  const Outcome serial = run(1);
+  ASSERT_FALSE(serial.dead_at_chaos_end.empty()) << "churn left no dead link to compare";
+  ASSERT_GT(serial.messages_dropped, 0u);
+  for (const std::size_t shards : {2u, 4u, 8u}) {
+    const Outcome sharded = run(shards);
+    EXPECT_EQ(sharded.chaos_fingerprint, serial.chaos_fingerprint) << "shards=" << shards;
+    EXPECT_EQ(sharded.dead_at_chaos_end, serial.dead_at_chaos_end) << "shards=" << shards;
+    EXPECT_EQ(sharded.messages_dropped, serial.messages_dropped) << "shards=" << shards;
+    EXPECT_EQ(sharded.final_fingerprint, serial.final_fingerprint) << "shards=" << shards;
   }
 }
 

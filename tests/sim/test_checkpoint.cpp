@@ -13,12 +13,15 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/engine_async.hpp"
 #include "sim/engine_sync.hpp"
 #include "sim/reduce.hpp"
+#include "support/binio.hpp"
 #include "test_util.hpp"
 
 namespace pcf::sim {
@@ -196,6 +199,72 @@ TEST(CheckpointReject, BadMagicVersionSkewAndCorruptHash) {
   std::string corrupt = blob;
   corrupt[40] = static_cast<char>(corrupt[40] ^ 0x01);
   EXPECT_THROW(fresh.restore(corrupt), CheckpointError);
+}
+
+// The link-set sections (dead, cut, falsely excluded) must hold exactly what
+// save writes: topology edges as (min, max) pairs, strictly ascending. These
+// blobs cut ring:12 links 4-5 and 7-8, then rewrite the dead-link section
+// (the first of the three) in place.
+
+using Link = std::pair<NodeId, NodeId>;
+
+FaultPlan two_cuts_plan() {
+  FaultPlan plan;
+  plan.link_failures.push_back({2.0, 4, 5});
+  plan.link_failures.push_back({2.0, 7, 8});
+  return plan;
+}
+
+std::string link_set_bytes(std::initializer_list<Link> links) {
+  BinaryWriter w;
+  w.u64(links.size());
+  for (const auto& [a, b] : links) {
+    w.u32(a);
+    w.u32(b);
+  }
+  return w.take();
+}
+
+std::string patch_dead_links(std::string blob, std::initializer_list<Link> links) {
+  const std::string saved = link_set_bytes({{4, 5}, {7, 8}});
+  const auto at = blob.find(saved);
+  EXPECT_NE(at, std::string::npos) << "dead-link section not found";
+  if (at == std::string::npos) return blob;
+  return blob.replace(at, saved.size(), link_set_bytes(links));
+}
+
+/// Both engines refuse the blob whose dead-link section is `links`, and
+/// still restore the unpatched one.
+void expect_link_set_rejected(std::initializer_list<Link> links) {
+  const auto topology = net::Topology::ring(12);
+  auto sync = make_sync(topology, Algorithm::kPushCancelFlow, two_cuts_plan());
+  sync.run(4);
+  const std::string sync_blob = sync.save_checkpoint();
+  auto sync_fresh = make_sync(topology, Algorithm::kPushCancelFlow, two_cuts_plan());
+  EXPECT_THROW(sync_fresh.restore(patch_dead_links(sync_blob, links)), CheckpointError);
+  EXPECT_NO_THROW(sync_fresh.restore(sync_blob));
+  EXPECT_EQ(sync_fresh.dead_links(), (std::vector<Link>{{4, 5}, {7, 8}}));
+
+  auto async = make_async(topology, Algorithm::kPushCancelFlow, two_cuts_plan());
+  async.run_until(4.0);
+  const std::string async_blob = async.save_checkpoint();
+  auto async_fresh = make_async(topology, Algorithm::kPushCancelFlow, two_cuts_plan());
+  EXPECT_THROW(async_fresh.restore(patch_dead_links(async_blob, links)), CheckpointError);
+  EXPECT_NO_THROW(async_fresh.restore(async_blob));
+}
+
+TEST(CheckpointReject, LinkSetPairNotNormalized) {
+  // (5, 4) names a real edge, but only as (4, 5) can it be the saved form.
+  expect_link_set_rejected({{5, 4}, {7, 8}});
+}
+
+TEST(CheckpointReject, LinkSetPairNotATopologyEdge) {
+  expect_link_set_rejected({{4, 6}, {7, 8}});
+}
+
+TEST(CheckpointReject, LinkSetPairsNotStrictlyAscending) {
+  expect_link_set_rejected({{7, 8}, {7, 8}});  // duplicate
+  expect_link_set_rejected({{7, 8}, {4, 5}});  // descending
 }
 
 TEST(CheckpointReject, MismatchedEngineAlgorithmSeedTopologyAndKind) {
