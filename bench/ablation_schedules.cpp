@@ -40,7 +40,7 @@ MeasuredAccuracy measure_matching(const net::Topology& topology,
     }
   }
   for (net::NodeId i = 0; i < topology.size(); ++i) {
-    result.max_flow = std::max(result.max_flow, runner.node(i).max_abs_flow_component());
+    result.max_flow = std::max(result.max_flow, runner.fleet().max_abs_flow_component(i));
   }
   return result;
 }

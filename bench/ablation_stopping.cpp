@@ -47,7 +47,7 @@ int run(int argc, char** argv) {
       local_engine.step();
       ++local_rounds;
       for (net::NodeId i = 0; i < topology.size(); ++i) {
-        detector.observe(i, local_engine.node(i).estimate());
+        detector.observe(i, local_engine.fleet().estimate(i));
       }
       if (detector.all_converged()) break;
     }

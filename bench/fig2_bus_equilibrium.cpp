@@ -54,12 +54,12 @@ int run(int argc, char** argv) {
   sim::SyncEngine pcf(topology, masses, pcf_cfg);
   pcf.run(rounds);
 
-  std::array<core::Mass, core::Reducer::kMaxFlowSlots> pf_flows;
-  std::array<core::Mass, core::Reducer::kMaxFlowSlots> pcf_slots;
+  std::array<core::Mass, core::ArenaFleet::kMaxFlowSlots> pf_flows;
+  std::array<core::Mass, core::ArenaFleet::kMaxFlowSlots> pcf_slots;
   for (net::NodeId i = 0; i + 1 < n; ++i) {
-    (void)pf.node(i).flows_toward(i + 1, pf_flows);
+    (void)pf.fleet().flows_toward(i, i + 1, pf_flows);
     const core::Mass& flow = pf_flows[0];
-    (void)pcf.node(i).flows_toward(i + 1, pcf_slots);
+    (void)pcf.fleet().flows_toward(i, i + 1, pcf_slots);
     const double pcf_biggest =
         std::max({std::abs(pcf_slots[0].s[0]), std::abs(pcf_slots[1].s[0])});
     table.add_row({std::to_string(i) + "-" + std::to_string(i + 1),

@@ -57,15 +57,12 @@ void BM_PacketExchange(benchmark::State& state) {
   const core::Values payload(core::kMaxDim, 1.0);
   const std::vector<core::Mass> masses(2, core::Mass(payload, 1.0));
   core::ArenaFleet fleet(algorithm, {}, topology, masses);
-  auto nodes = core::make_facades(fleet, topology, masses);
-  core::ArenaReducer& a = nodes[0];
-  core::ArenaReducer& b = nodes[1];
   for (auto _ : state) {
-    auto out = a.make_message_to(1);
-    b.on_receive(0, out->packet);
-    auto back = b.make_message_to(0);
-    a.on_receive(1, back->packet);
-    benchmark::DoNotOptimize(a.estimate());
+    auto out = fleet.make_message_to(0, 1);
+    fleet.receive(1, 0, out->packet);
+    auto back = fleet.make_message_to(1, 0);
+    fleet.receive(0, 1, back->packet);
+    benchmark::DoNotOptimize(fleet.estimate(0));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
 }

@@ -873,136 +873,22 @@ void ArenaFleet::pcf_receive_as_completer(NodeId i, std::size_t e,
   pcf_mirror_slot(e, pas, packet_slot(packet, pas));
 }
 
-// ---- untyped dispatchers (facade path) ----
+// ---- untyped by-id entries ----
 
-std::optional<ArenaFleet::Send> ArenaFleet::make_message_any(NodeId i, Rng& rng) {
-  switch (algorithm_) {
-    case Algorithm::kPushSum:
-      return make_message<Algorithm::kPushSum>(i, rng);
-    case Algorithm::kPushFlow:
-      return make_message<Algorithm::kPushFlow>(i, rng);
-    case Algorithm::kPushCancelFlow:
-      return make_message<Algorithm::kPushCancelFlow>(i, rng);
-    case Algorithm::kFlowUpdating:
-      return make_message<Algorithm::kFlowUpdating>(i, rng);
-    case Algorithm::kCorrectionAllreduce:
-      return make_message<Algorithm::kCorrectionAllreduce>(i, rng);
-    case Algorithm::kFuMassHybrid:
-      return make_message<Algorithm::kFuMassHybrid>(i, rng);
-  }
-  return std::nullopt;
+std::optional<ArenaFleet::Send> ArenaFleet::make_message(NodeId i, Rng& rng) {
+  return dispatch(algorithm_,
+                  [&](auto a) { return make_message<decltype(a)::value>(i, rng); });
 }
 
-std::optional<ArenaFleet::Send> ArenaFleet::make_message_to_any(NodeId i, NodeId target) {
-  switch (algorithm_) {
-    case Algorithm::kPushSum:
-      return make_message_to<Algorithm::kPushSum>(i, target);
-    case Algorithm::kPushFlow:
-      return make_message_to<Algorithm::kPushFlow>(i, target);
-    case Algorithm::kPushCancelFlow:
-      return make_message_to<Algorithm::kPushCancelFlow>(i, target);
-    case Algorithm::kFlowUpdating:
-      return make_message_to<Algorithm::kFlowUpdating>(i, target);
-    case Algorithm::kCorrectionAllreduce:
-      return make_message_to<Algorithm::kCorrectionAllreduce>(i, target);
-    case Algorithm::kFuMassHybrid:
-      return make_message_to<Algorithm::kFuMassHybrid>(i, target);
-  }
-  return std::nullopt;
+std::optional<ArenaFleet::Send> ArenaFleet::make_message_to(NodeId i, NodeId target) {
+  return dispatch(algorithm_,
+                  [&](auto a) { return make_message_to<decltype(a)::value>(i, target); });
 }
 
-void ArenaFleet::receive_any(NodeId i, NodeId from, const Packet& packet) {
+void ArenaFleet::receive(NodeId i, NodeId from, const Packet& packet) {
   const auto slot = slot_of(i, from);
-  if (!slot) return;  // stale packet from a removed link (all algorithms)
-  switch (algorithm_) {
-    case Algorithm::kPushSum:
-      receive<Algorithm::kPushSum>(i, from, *slot, packet);
-      return;
-    case Algorithm::kPushFlow:
-      receive<Algorithm::kPushFlow>(i, from, *slot, packet);
-      return;
-    case Algorithm::kPushCancelFlow:
-      receive<Algorithm::kPushCancelFlow>(i, from, *slot, packet);
-      return;
-    case Algorithm::kFlowUpdating:
-      receive<Algorithm::kFlowUpdating>(i, from, *slot, packet);
-      return;
-    case Algorithm::kCorrectionAllreduce:
-      receive<Algorithm::kCorrectionAllreduce>(i, from, *slot, packet);
-      return;
-    case Algorithm::kFuMassHybrid:
-      receive<Algorithm::kFuMassHybrid>(i, from, *slot, packet);
-      return;
-  }
-}
-
-// ---- ArenaReducer facade ----
-
-void ArenaReducer::init(NodeId self, std::span<const NodeId> neighbors, Mass initial) {
-  PCF_CHECK_MSG(!initialized_, "reducer initialized twice");
-  PCF_CHECK_MSG(self == self_, "arena facade bound to node " << self_ << ", initialized as "
-                                                             << self);
-  PCF_CHECK_MSG(neighbors.size() == fleet_->degree(self_),
-                "neighbor set does not match the arena adjacency");
-  PCF_CHECK_MSG(initial.dim() == fleet_->dim(), "initial mass dimension mismatch");
-  initialized_ = true;
-}
-
-std::optional<Outgoing> ArenaReducer::make_message(Rng& rng) {
-  PCF_CHECK_MSG(initialized_, "make_message before init");
-  auto send = fleet_->make_message_any(self_, rng);
-  if (!send) return std::nullopt;
-  Outgoing out;
-  out.to = send->to;
-  out.packet = std::move(send->packet);
-  return out;
-}
-
-std::optional<Outgoing> ArenaReducer::make_message_to(NodeId target) {
-  PCF_CHECK_MSG(initialized_, "make_message before init");
-  auto send = fleet_->make_message_to_any(self_, target);
-  if (!send) return std::nullopt;
-  Outgoing out;
-  out.to = send->to;
-  out.packet = std::move(send->packet);
-  return out;
-}
-
-void ArenaReducer::on_receive(NodeId from, const Packet& packet) {
-  PCF_CHECK_MSG(initialized_, "on_receive before init");
-  fleet_->receive_any(self_, from, packet);
-}
-
-std::vector<ArenaReducer> make_facades(ArenaFleet& fleet, const net::Topology& topology,
-                                       std::span<const Mass> initial) {
-  PCF_CHECK_MSG(topology.size() == fleet.size() && initial.size() == fleet.size(),
-                "facades need the fleet's own topology and initial masses");
-  std::vector<ArenaReducer> nodes;
-  nodes.reserve(fleet.size());
-  for (NodeId i = 0; i < fleet.size(); ++i) {
-    nodes.emplace_back(fleet, i);
-    nodes.back().init(i, topology.neighbors(i), initial[i]);
-  }
-  return nodes;
-}
-
-std::string_view ArenaReducer::name() const noexcept {
-  switch (fleet_->algorithm()) {
-    case Algorithm::kPushSum:
-      return "push-sum";
-    case Algorithm::kPushFlow:
-      return "push-flow";
-    case Algorithm::kPushCancelFlow:
-      return fleet_->config().pcf_variant == PcfVariant::kFast ? "push-cancel-flow/fast"
-                                                               : "push-cancel-flow/robust";
-    case Algorithm::kFlowUpdating:
-      return "flow-updating";
-    case Algorithm::kCorrectionAllreduce:
-      return "correction-allreduce";
-    case Algorithm::kFuMassHybrid:
-      return "fu-mass-hybrid";
-  }
-  return "arena";
+  if (!slot) return;  // stale packet from a removed link, or a stranger
+  dispatch(algorithm_, [&](auto a) { receive<decltype(a)::value>(i, from, *slot, packet); });
 }
 
 }  // namespace pcf::core

@@ -19,10 +19,10 @@
 // The hot per-round operations (make_message / receive) are templated on the
 // Algorithm so the engine's round loop devirtualizes and inlines them; the
 // cold protocol surface (link up/down, corruption, checkpoint rows,
-// introspection) lives in arena.cpp. ArenaReducer is a thin per-node facade
-// implementing the full Reducer interface on top of the fleet, so oracles,
-// invariant checkers, fault hooks, sessions and the runtimes drive one node
-// at a time without knowing about the layout.
+// introspection) lives in arena.cpp. Callers that do not know the algorithm
+// at compile time (the async engine, the runtimes, the schedule runner) use
+// the untyped by-id overloads, which pick the kernel through core::dispatch.
+// Every caller addresses a node by its id: there is no per-node object.
 //
 // Concurrency: every operation on node i writes only node i's rows (its edge
 // range and its per-node rows) and reads only those plus the immutable CSR
@@ -90,6 +90,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/mass.hpp"
@@ -98,7 +99,34 @@
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
+namespace pcf {
+class BinaryWriter;
+class BinaryReader;
+}  // namespace pcf
+
 namespace pcf::core {
+
+/// Calls f(std::integral_constant<Algorithm, A>{}) for the runtime value `a`,
+/// so one generic lambda reaches the kernels templated on the algorithm.
+template <typename F>
+decltype(auto) dispatch(Algorithm a, F&& f) {
+  using enum Algorithm;
+  switch (a) {
+    case kPushSum:
+      return f(std::integral_constant<Algorithm, kPushSum>{});
+    case kPushFlow:
+      return f(std::integral_constant<Algorithm, kPushFlow>{});
+    case kPushCancelFlow:
+      return f(std::integral_constant<Algorithm, kPushCancelFlow>{});
+    case kFlowUpdating:
+      return f(std::integral_constant<Algorithm, kFlowUpdating>{});
+    case kCorrectionAllreduce:
+      return f(std::integral_constant<Algorithm, kCorrectionAllreduce>{});
+    case kFuMassHybrid:
+      break;  // -Wswitch keeps the case list complete
+  }
+  return f(std::integral_constant<Algorithm, kFuMassHybrid>{});
+}
 
 class ArenaFleet {
  public:
@@ -135,9 +163,11 @@ class ArenaFleet {
 
   // ---- hot path (templated on the algorithm; inlined into the engine) ----
 
-  /// One gossip send step for node i: uniform live-neighbor draw (exactly one
-  /// rng.below(live_degree) when non-empty, nothing otherwise — the reducers'
-  /// RNG-stream contract) followed by the algorithm's send rule.
+  /// One gossip send step for node i: uniform live-neighbor draw followed by
+  /// the algorithm's send rule. RNG-stream contract: exactly one
+  /// rng.below(live_degree(i)) when node i has a live neighbor, no draw at
+  /// all otherwise — so runs of different algorithms with one seed share a
+  /// communication schedule. Returns nullopt when no live neighbor is left.
   template <Algorithm A>
   [[nodiscard]] std::optional<Send> make_message(NodeId i, Rng& rng) {
     const std::uint32_t lc = live_count_[i];
@@ -147,7 +177,9 @@ class ArenaFleet {
     return send_to_slot<A>(i, slot);
   }
 
-  /// Directed send toward a specific live neighbor (deterministic schedules).
+  /// Directed send toward a specific live neighbor — deterministic schedules
+  /// such as the paper's Fig. 2 regular matching on a bus. Returns nullopt if
+  /// `target` is not a live neighbor of i.
   template <Algorithm A>
   [[nodiscard]] std::optional<Send> make_message_to(NodeId i, NodeId target) {
     const auto slot = slot_of(i, target);
@@ -159,21 +191,51 @@ class ArenaFleet {
   [[nodiscard]] std::optional<Send> send_to_slot(NodeId i, std::size_t slot);
 
   /// Delivers `packet` from neighbor `from` (= neighbor(i, slot)) to node i.
-  /// The caller resolved the slot; the acceptance checks (liveness,
-  /// dimensions, header validity) run here.
+  /// Every engine delivers the packets of one directed link in FIFO order;
+  /// loss (gaps) is allowed. The caller resolved the slot; the acceptance
+  /// checks (liveness, dimensions, header validity) run here.
   template <Algorithm A>
   void receive(NodeId i, NodeId from, std::size_t slot, const Packet& packet);
 
+  // ---- untyped by-id entries (arena.cpp; the kernel is picked by dispatch) ----
+
+  [[nodiscard]] std::optional<Send> make_message(NodeId i, Rng& rng);
+  [[nodiscard]] std::optional<Send> make_message_to(NodeId i, NodeId target);
+  /// Delivers a packet from `from` to node i, resolving the slot first. A
+  /// packet from a node that is not a topology neighbor of i (a stranger, or
+  /// an id outside the fleet) is ignored by every algorithm.
+  void receive(NodeId i, NodeId from, const Packet& packet);
+
   // ---- cold protocol surface (arena.cpp) ----
 
+  /// Failure-detector callback: node i's link to j failed permanently; i
+  /// excludes j from the computation (PF/PCF: the edge flows are folded into
+  /// the local mass and zeroed).
   void on_link_down(NodeId i, NodeId j);
+  /// Recovery callback: node i's link to j (previously reported down) works
+  /// again — a healed link, a rejoined neighbor, or a cleared false positive.
+  /// j is re-admitted with a blank edge: zeroed flows (the exclusion rule run
+  /// in reverse; the flow state both ends held before the outage is stale and
+  /// was already folded into the local masses by on_link_down). Duplicate
+  /// notifications, and one for a neighbor that was never excluded, are
+  /// benign no-ops.
   void on_link_up(NodeId i, NodeId j);
+  /// Live data update (LiMoSense-style monitoring): node i's input changes by
+  /// `delta` mid-computation. The flow algorithms keep the input separate
+  /// from the flows, so the estimates re-converge toward the new aggregate;
+  /// push-sum folds the delta into its in-flight mass.
   void update_data(NodeId i, const Mass& delta);
+  /// Fault injection: flips one random mantissa/sign bit of one STORED flow
+  /// variable of node i — a memory soft error, as opposed to in-transit
+  /// corruption. False when the algorithm stores no flow state (push-sum).
+  /// Flow algorithms heal at the next mirror on the edge, except bookkeeping
+  /// that accumulates increments from the corrupted value (the PCF fast
+  /// variant's ϕ) — the paper's Section III-A caveat.
   bool corrupt_stored_flow(NodeId i, Rng& rng);
   /// Checkpointing: dumps node i's mutable arena rows — per-edge liveness
   /// plus the current algorithm's flat state spans — as raw IEEE-754 bits.
-  /// The CSR adjacency is topology-derived and not written. Format layout:
-  /// DESIGN.md §8.
+  /// The CSR adjacency is topology-derived and not written; a round trip
+  /// through load_node is bit-exact. Format layout: DESIGN.md §8.
   void save_node(NodeId i, BinaryWriter& w) const;
   /// Restores rows written by save_node for the same topology/algorithm;
   /// rebuilds the node's live-slot prefix. Throws BinioError on a degree
@@ -184,15 +246,42 @@ class ArenaFleet {
   /// The node keeps its arena rows; rejoin never grows the arena.
   void reset_node(NodeId i, const Mass& initial);
 
+  /// Node i's current mass e_i.
   [[nodiscard]] Mass local_mass(NodeId i) const;
-  [[nodiscard]] double estimate(NodeId i, std::size_t k) const;
+  /// Node i's estimate of aggregate component k: the mass ratio s[k]/w, or
+  /// Flow Updating's fused neighborhood estimate.
+  [[nodiscard]] double estimate(NodeId i, std::size_t k = 0) const;
+  /// Largest |component| over node i's flow state. The paper's core
+  /// observation: for PF this grows with n, for PCF it stays O(aggregate).
   [[nodiscard]] double max_abs_flow_component(NodeId i) const noexcept;
+  /// PCF: role swaps node i completed, summed over its edges; 0 otherwise.
   [[nodiscard]] std::uint64_t role_swaps(NodeId i) const noexcept;
+  /// Mass pairs one packet of this algorithm carries on the wire: 1 for
+  /// push-sum/PF, 2 for PCF (two slots), FU/FUMD (flow + estimate) and CORR
+  /// (report + view). Used by the engines' bandwidth accounting.
   [[nodiscard]] std::size_t wire_masses() const noexcept;
+  /// Whether pending packets on one directed link carry INDEPENDENT mass
+  /// (push-sum: each packet is a transfer; sum them all) or supersede each
+  /// other (flow algorithms: the mirror is absolute; only the newest pending
+  /// packet counts toward unreceived_mass).
   [[nodiscard]] bool in_flight_mass_accumulates() const noexcept {
     return algorithm_ == Algorithm::kPushSum;
   }
+  /// Upper bound on the flow slots any algorithm stores per edge (PCF: 2).
+  static constexpr std::size_t kMaxFlowSlots = 2;
+  /// Copies node i's stored flow state toward neighbor j into `out`
+  /// (slot-indexed; both endpoints of an edge use the same slot order).
+  /// Returns the number of slots written — 0 when the algorithm stores no
+  /// flow toward j or j is not a live neighbor. `out` holds at least
+  /// kMaxFlowSlots elements.
   [[nodiscard]] std::size_t flows_toward(NodeId i, NodeId j, std::span<Mass> out) const;
+  /// Crash-retarget accounting: the mass node i's state does NOT yet reflect
+  /// but which delivering `packet` (pending from `from`) would add to
+  /// local_mass(i). Zero whenever receive would ignore the packet (unknown or
+  /// excluded link, corrupted dimensions). Push-sum: the packet's share. Flow
+  /// algorithms: stored mirror minus the packet's flow — an ABSOLUTE
+  /// quantity, so only the newest pending packet per directed link counts
+  /// (see in_flight_mass_accumulates).
   [[nodiscard]] Mass unreceived_mass(NodeId i, NodeId from, const Packet& packet) const;
   /// PCF per-edge handshake state as seen by one endpoint (the
   /// pcf-handshake invariant checker and the protocol tests probe it; the
@@ -207,11 +296,6 @@ class ArenaFleet {
   /// neighbor at strictly smaller static depth — or nullopt for a fragment
   /// root.
   [[nodiscard]] std::optional<NodeId> correction_parent(NodeId i) const noexcept;
-
-  /// Untyped dispatchers for the facade (switch on algorithm()).
-  [[nodiscard]] std::optional<Send> make_message_any(NodeId i, Rng& rng);
-  [[nodiscard]] std::optional<Send> make_message_to_any(NodeId i, NodeId target);
-  void receive_any(NodeId i, NodeId from, const Packet& packet);
 
  private:
   static constexpr std::size_t kMaxStride = kMaxDim + 1;
@@ -478,67 +562,5 @@ void ArenaFleet::receive(NodeId i, NodeId from, std::size_t slot, const Packet& 
     have_estimate_[e] = 1;
   }
 }
-
-// ---------------------------------------------------------------------------
-// Per-node facade: the full Reducer interface on top of the fleet, so every
-// consumer that works one node at a time (oracle retarget, fault hooks,
-// runtimes, tests poking engine.node(i)) sees an ordinary reducer.
-// ---------------------------------------------------------------------------
-
-class ArenaReducer final : public Reducer {
- public:
-  ArenaReducer(ArenaFleet& fleet, NodeId self) : fleet_(&fleet), self_(self) {}
-
-  void init(NodeId self, std::span<const NodeId> neighbors, Mass initial) override;
-  [[nodiscard]] std::optional<Outgoing> make_message(Rng& rng) override;
-  [[nodiscard]] std::optional<Outgoing> make_message_to(NodeId target) override;
-  void on_receive(NodeId from, const Packet& packet) override;
-  [[nodiscard]] Mass local_mass() const override { return fleet_->local_mass(self_); }
-  [[nodiscard]] double estimate(std::size_t k = 0) const override {
-    return fleet_->estimate(self_, k);
-  }
-  void on_link_down(NodeId j) override { fleet_->on_link_down(self_, j); }
-  void on_link_up(NodeId j) override { fleet_->on_link_up(self_, j); }
-  void update_data(const Mass& delta) override { fleet_->update_data(self_, delta); }
-  [[nodiscard]] std::string_view name() const noexcept override;
-  [[nodiscard]] std::size_t live_degree() const noexcept override {
-    return fleet_->live_degree(self_);
-  }
-  [[nodiscard]] double max_abs_flow_component() const noexcept override {
-    return fleet_->max_abs_flow_component(self_);
-  }
-  [[nodiscard]] std::uint64_t role_swaps() const noexcept override {
-    return fleet_->role_swaps(self_);
-  }
-  [[nodiscard]] std::size_t wire_masses() const noexcept override {
-    return fleet_->wire_masses();
-  }
-  bool corrupt_stored_flow(Rng& rng) override {
-    return fleet_->corrupt_stored_flow(self_, rng);
-  }
-  [[nodiscard]] std::size_t flows_toward(NodeId j, std::span<Mass> out) const override {
-    return fleet_->flows_toward(self_, j, out);
-  }
-  [[nodiscard]] Mass unreceived_mass(NodeId from, const Packet& packet) const override {
-    return fleet_->unreceived_mass(self_, from, packet);
-  }
-  [[nodiscard]] bool in_flight_mass_accumulates() const noexcept override {
-    return fleet_->in_flight_mass_accumulates();
-  }
-  void save_state(BinaryWriter& w) const override { fleet_->save_node(self_, w); }
-  void load_state(BinaryReader& r) override { fleet_->load_node(self_, r); }
-
- private:
-  ArenaFleet* fleet_;
-  NodeId self_;
-  bool initialized_ = false;
-};
-
-/// One init()-ed facade per node of `fleet`, which was built from `topology`
-/// and `initial`. The facades point into the fleet: it must outlive them and
-/// must not move (engines hold it by unique_ptr).
-[[nodiscard]] std::vector<ArenaReducer> make_facades(ArenaFleet& fleet,
-                                                     const net::Topology& topology,
-                                                     std::span<const Mass> initial);
 
 }  // namespace pcf::core

@@ -1,13 +1,11 @@
 #include "core/extrema.hpp"
 
-#include "core/state_io.hpp"
-
 #include <algorithm>
 
 namespace pcf::core {
 
-void ExtremaGossip::init(NodeId /*self*/, std::span<const NodeId> neighbors, Mass initial) {
-  PCF_CHECK_MSG(!initialized_, "reducer initialized twice");
+void ExtremaGossip::init(std::span<const NodeId> neighbors, Mass initial) {
+  PCF_CHECK_MSG(!initialized_, "extrema gossip initialized twice");
   PCF_CHECK_MSG(!neighbors.empty(), "node needs at least one neighbor");
   PCF_CHECK_MSG(initial.dim() == 1, "extrema gossip takes a scalar sample");
   neighbors_.init(neighbors);
@@ -21,18 +19,18 @@ Mass ExtremaGossip::local_mass() const {
   return Mass(Values{min_, max_}, 1.0);
 }
 
-std::optional<Outgoing> ExtremaGossip::make_message(Rng& rng) {
+std::optional<ExtremaGossip::Message> ExtremaGossip::make_message(Rng& rng) {
   PCF_CHECK_MSG(initialized_, "make_message before init");
   const auto target = neighbors_.pick_live(rng);
   if (!target) return std::nullopt;
   return make_message_to(*target);
 }
 
-std::optional<Outgoing> ExtremaGossip::make_message_to(NodeId target) {
+std::optional<ExtremaGossip::Message> ExtremaGossip::make_message_to(NodeId target) {
   PCF_CHECK_MSG(initialized_, "make_message before init");
   const auto slot = neighbors_.slot_of(target);
   if (!slot || !neighbors_.alive_at(*slot)) return std::nullopt;
-  Outgoing out;
+  Message out;
   out.to = target;
   out.packet.a = local_mass();
   return out;
@@ -47,17 +45,6 @@ void ExtremaGossip::on_receive(NodeId from, const Packet& packet) {
   max_ = std::max(max_, packet.a.s[1]);
 }
 
-void ExtremaGossip::on_link_down(NodeId j) {
-  // Nothing to roll back: extrema already learned through the link stay
-  // valid knowledge (with the documented un-learnability caveat).
-  (void)neighbors_.mark_dead(j);
-}
-
-void ExtremaGossip::on_link_up(NodeId j) {
-  // Monotone merges make recovery trivial: resume gossiping with j.
-  (void)neighbors_.mark_alive(j);
-}
-
 void ExtremaGossip::update_data(const Mass& delta) {
   PCF_CHECK_MSG(initialized_, "update_data before init");
   PCF_CHECK_MSG(delta.dim() == 1, "extrema update takes a scalar sample");
@@ -65,20 +52,6 @@ void ExtremaGossip::update_data(const Mass& delta) {
   // shrinks the range cannot take effect — inherent to min/max gossip.)
   min_ = std::min(min_, delta.s[0]);
   max_ = std::max(max_, delta.s[0]);
-}
-
-void ExtremaGossip::save_state(BinaryWriter& w) const {
-  PCF_CHECK_MSG(initialized_, "save_state before init");
-  neighbors_.save_state(w);
-  w.f64(min_);
-  w.f64(max_);
-}
-
-void ExtremaGossip::load_state(BinaryReader& r) {
-  PCF_CHECK_MSG(initialized_, "load_state before init");
-  neighbors_.load_state(r);
-  min_ = r.f64();
-  max_ = r.f64();
 }
 
 }  // namespace pcf::core

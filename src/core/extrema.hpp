@@ -13,45 +13,50 @@
 //    belong to a node that no longer exists.
 //
 // Both are documented properties of min/max gossip in general, not of this
-// implementation. The reducer piggybacks on the standard interface: the
-// "mass" is the pair (min, max) with weight 1, estimate(0) = min,
-// estimate(1) = max. It conserves nothing, so it is driven by the
+// implementation. One ExtremaGossip is one node: its state is the pair
+// (min, max), reported as a dim-2 pseudo-mass with weight 1, estimate(0) =
+// min, estimate(1) = max. It conserves nothing, so it is driven by the
 // statistics layer (sim/statistics.hpp) rather than by oracle-checked
 // reductions.
 #pragma once
+
+#include <optional>
+#include <span>
 
 #include "core/neighbor_set.hpp"
 #include "core/reducer.hpp"
 
 namespace pcf::core {
 
-class ExtremaGossip final : public Reducer {
+class ExtremaGossip {
  public:
-  explicit ExtremaGossip(const ReducerConfig& config) : config_(config) {}
+  /// A packet addressed to a neighbor.
+  struct Message {
+    NodeId to = 0;
+    Packet packet;
+  };
 
-  /// `initial` must be scalar: the node's value seeds both extrema.
-  void init(NodeId self, std::span<const NodeId> neighbors, Mass initial) override;
-  [[nodiscard]] std::optional<Outgoing> make_message(Rng& rng) override;
-  [[nodiscard]] std::optional<Outgoing> make_message_to(NodeId target) override;
-  void on_receive(NodeId from, const Packet& packet) override;
+  /// Binds the neighborhood; `initial` must be scalar: the node's value
+  /// seeds both extrema. Must be called exactly once, before anything else.
+  void init(std::span<const NodeId> neighbors, Mass initial);
+  /// Sends the current range to a uniformly drawn live neighbor (one
+  /// rng.below draw), or nullopt when none is left.
+  [[nodiscard]] std::optional<Message> make_message(Rng& rng);
+  /// Sends the current range to `target`, or nullopt if it is not live.
+  [[nodiscard]] std::optional<Message> make_message_to(NodeId target);
+  /// Monotone merge of a neighbor's range; packets from strangers and
+  /// packets of the wrong dimension are ignored.
+  void on_receive(NodeId from, const Packet& packet);
   /// (min, max) as a dim-2 pseudo-mass with weight 1.
-  [[nodiscard]] Mass local_mass() const override;
-  void on_link_down(NodeId j) override;
-  void on_link_up(NodeId j) override;
+  [[nodiscard]] Mass local_mass() const;
+  [[nodiscard]] double estimate(std::size_t k) const { return local_mass().estimate(k); }
   /// A new sample merges into the extrema (it can widen them, never shrink).
-  void update_data(const Mass& delta) override;
-  void save_state(BinaryWriter& w) const override;
-  void load_state(BinaryReader& r) override;
-  [[nodiscard]] std::string_view name() const noexcept override { return "extrema-gossip"; }
-  [[nodiscard]] std::size_t live_degree() const noexcept override {
-    return neighbors_.live_count();
-  }
+  void update_data(const Mass& delta);
 
   [[nodiscard]] double current_min() const noexcept { return min_; }
   [[nodiscard]] double current_max() const noexcept { return max_; }
 
  private:
-  ReducerConfig config_;
   NeighborSet neighbors_;
   double min_ = 0.0;
   double max_ = 0.0;

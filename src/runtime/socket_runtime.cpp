@@ -119,8 +119,6 @@ class ShardProcess {
     const Rng base(config_.seed);
     for (net::NodeId i = shard_; i < topology_.size(); i += num_shards_) {
       local_nodes_.push_back(i);
-      reducers_.emplace_back(fleet_, i);
-      reducers_.back().init(i, topology_.neighbors(i), initial[i]);
       rngs_.push_back(base.fork(i));
       mailboxes_.push_back(std::make_unique<Mailbox>(config_.mailbox_capacity));
     }
@@ -140,7 +138,7 @@ class ShardProcess {
     for (std::uint64_t step = start_step; step < config_.steps_per_node; ++step) {
       for (std::size_t k = 0; k < local_nodes_.size(); ++k) drain_into(k);
       for (std::size_t k = 0; k < local_nodes_.size(); ++k) {
-        auto out = reducers_[k].make_message(rngs_[k]);
+        auto out = fleet_.make_message(local_nodes_[k], rngs_[k]);
         if (!out) continue;
         send_packet(local_nodes_[k], out->to, out->packet);
       }
@@ -184,7 +182,7 @@ class ShardProcess {
 
   void drain_into(std::size_t k) {
     for (auto& env : mailboxes_[k]->drain()) {
-      reducers_[k].on_receive(env.from, env.packet);
+      fleet_.receive(local_nodes_[k], env.from, env.packet);
     }
   }
 
@@ -192,7 +190,7 @@ class ShardProcess {
     const auto dest_shard = static_cast<std::uint32_t>(to % num_shards_);
     if (dest_shard == shard_) {
       // Same-process link: direct delivery (trivially FIFO, never lossy).
-      reducers_[local_index(to)].on_receive(from, packet);
+      fleet_.receive(to, from, packet);
       return;
     }
     net::DataFrame frame;
@@ -246,9 +244,9 @@ class ShardProcess {
       for (const net::NodeId j : topology_.neighbors(local_nodes_[k])) {
         if (j % num_shards_ != p) continue;
         if (up) {
-          reducers_[k].on_link_up(j);
+          fleet_.on_link_up(local_nodes_[k], j);
         } else {
-          reducers_[k].on_link_down(j);
+          fleet_.on_link_down(local_nodes_[k], j);
         }
       }
     }
@@ -348,7 +346,7 @@ class ShardProcess {
       w.u32(local_nodes_[k]);
       for (const std::uint64_t word : rngs_[k].state()) w.u64(word);
       BinaryWriter state;
-      reducers_[k].save_state(state);
+      fleet_.save_node(local_nodes_[k], state);
       w.str(state.buffer());
     }
     w.u64(tx_seq_.size());
@@ -391,7 +389,7 @@ class ShardProcess {
         for (auto& word : rng_state) word = r.u64();
         rngs_[k].set_state(rng_state);
         BinaryReader state(r.str());
-        reducers_[k].load_state(state);
+        fleet_.load_node(local_nodes_[k], state);
       }
       const std::size_t tx_entries = r.count(16);
       for (std::size_t e = 0; e < tx_entries; ++e) {
@@ -459,8 +457,8 @@ class ShardProcess {
     w.u64(local_nodes_.size());
     for (std::size_t k = 0; k < local_nodes_.size(); ++k) {
       w.u32(local_nodes_[k]);
-      w.f64(reducers_[k].estimate());
-      core::write_mass(w, reducers_[k].local_mass());
+      w.f64(fleet_.estimate(local_nodes_[k]));
+      core::write_mass(w, fleet_.local_mass(local_nodes_[k]));
     }
     write_file_atomic(result_path(config_.run_dir, shard_), std::move(w));
   }
@@ -475,7 +473,6 @@ class ShardProcess {
 
   std::vector<net::NodeId> local_nodes_;
   core::ArenaFleet fleet_;
-  std::vector<core::ArenaReducer> reducers_;  ///< facades of local_nodes_, into fleet_
   std::vector<Rng> rngs_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
 

@@ -16,7 +16,7 @@
 //
 // Robustness machinery on top of the transport:
 //  * heartbeat failure detector — every shard beacons every other shard;
-//    a peer silent past the timeout triggers Reducer::on_link_down for all
+//    a peer silent past the timeout triggers ArenaFleet::on_link_down for all
 //    cross-shard edges into it, and a resumed beacon triggers on_link_up —
 //    including FALSE positives when a merely-stalled peer revives;
 //  * supervision — each shard periodically writes an atomic checkpoint of

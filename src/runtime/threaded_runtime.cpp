@@ -23,7 +23,6 @@ ThreadedRuntime::ThreadedRuntime(net::Topology topology,
   const Rng base(config_.seed);
   fleet_ = std::make_unique<core::ArenaFleet>(config_.algorithm, config_.reducer, topology_,
                                               initial);
-  nodes_ = core::make_facades(*fleet_, topology_, initial);
   for (net::NodeId i = 0; i < topology.size(); ++i) {
     node_rngs_.push_back(base.fork(i));
     mailboxes_.push_back(std::make_unique<Mailbox>(config_.mailbox_capacity));
@@ -36,7 +35,7 @@ ThreadedRuntime::ThreadedRuntime(net::Topology topology,
 
 std::size_t ThreadedRuntime::drain_node(net::NodeId i) {
   const auto envelopes = mailboxes_[i]->drain();
-  for (const auto& env : envelopes) nodes_[i].on_receive(env.from, env.packet);
+  for (const auto& env : envelopes) fleet_->receive(i, env.from, env.packet);
   return envelopes.size();
 }
 
@@ -73,7 +72,7 @@ void ThreadedRuntime::worker(std::size_t worker_index, std::size_t steps_per_nod
   for (std::size_t step = 0; step < steps_per_node; ++step) {
     for (const net::NodeId i : shards_[worker_index]) {
       delivered += drain_node(i);
-      auto out = nodes_[i].make_message(node_rngs_[i]);
+      auto out = fleet_->make_message(i, node_rngs_[i]);
       if (!out) continue;
       if (dead_links_.contains(i, out->to)) continue;  // cable cut
       deliver(worker_index, out->to, {i, std::move(out->packet)}, delivered);
@@ -103,7 +102,7 @@ void ThreadedRuntime::run(std::size_t steps_per_node) {
   {
     const auto timer = perf_.time(PerfCounters::Phase::kDrain);
     std::size_t delivered = 0;
-    for (net::NodeId i = 0; i < nodes_.size(); ++i) delivered += drain_node(i);
+    for (net::NodeId i = 0; i < fleet_->size(); ++i) delivered += drain_node(i);
     delivered_.fetch_add(delivered, std::memory_order_relaxed);
   }
   apply_pending_faults();  // events queued mid-phase land at this boundary
@@ -160,8 +159,8 @@ void ThreadedRuntime::fail_link(net::NodeId a, net::NodeId b) {
   PCF_CHECK_MSG(!workers_active(), "fail_link while a run() phase is active");
   PCF_CHECK_MSG(topology_.has_edge(a, b), "fail_link: no such link");
   if (!dead_links_.insert(a, b)) return;
-  nodes_[a].on_link_down(b);
-  nodes_[b].on_link_down(a);
+  fleet_->on_link_down(a, b);
+  fleet_->on_link_down(b, a);
 }
 
 void ThreadedRuntime::heal_link(net::NodeId a, net::NodeId b) {
@@ -169,21 +168,20 @@ void ThreadedRuntime::heal_link(net::NodeId a, net::NodeId b) {
   PCF_CHECK_MSG(!workers_active(), "heal_link while a run() phase is active");
   PCF_CHECK_MSG(topology_.has_edge(a, b), "heal_link: no such link");
   if (dead_links_.erase(a, b) == 0) return;
-  nodes_[a].on_link_up(b);
-  nodes_[b].on_link_up(a);
+  fleet_->on_link_up(a, b);
+  fleet_->on_link_up(b, a);
 }
 
 std::vector<double> ThreadedRuntime::estimates(std::size_t k) const {
   std::vector<double> out;
-  out.reserve(nodes_.size());
-  for (const auto& n : nodes_) out.push_back(n.estimate(k));
+  out.reserve(fleet_->size());
+  for (net::NodeId i = 0; i < fleet_->size(); ++i) out.push_back(fleet_->estimate(i, k));
   return out;
 }
 
 core::Mass ThreadedRuntime::total_mass() const {
-  PCF_CHECK_MSG(!nodes_.empty(), "total_mass on an empty runtime");
-  core::Mass total = nodes_.front().local_mass();
-  for (std::size_t i = 1; i < nodes_.size(); ++i) total += nodes_[i].local_mass();
+  core::Mass total = fleet_->local_mass(0);
+  for (net::NodeId i = 1; i < fleet_->size(); ++i) total += fleet_->local_mass(i);
   return total;
 }
 

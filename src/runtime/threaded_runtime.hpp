@@ -64,7 +64,7 @@ class ThreadedRuntime {
   void fail_link(net::NodeId a, net::NodeId b);
 
   /// Heals a previously failed link: both endpoints re-admit the neighbor
-  /// (Reducer::on_link_up) with zeroed flows. Same phase-boundary contract as
+  /// (ArenaFleet::on_link_up) with zeroed flows. Same phase-boundary contract as
   /// fail_link — throws ContractViolation while workers are active.
   void heal_link(net::NodeId a, net::NodeId b);
 
@@ -82,10 +82,12 @@ class ThreadedRuntime {
   /// Queued-but-unapplied fault count (test/observability hook).
   [[nodiscard]] std::size_t pending_faults() const;
 
-  [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return fleet_->size(); }
   [[nodiscard]] std::vector<double> estimates(std::size_t k = 0) const;
   [[nodiscard]] core::Mass total_mass() const;
-  [[nodiscard]] const core::Reducer& node(net::NodeId i) const { return nodes_.at(i); }
+  /// Every node's protocol state, by node id. Read it between run() phases:
+  /// workers write their shard's rows while a phase is active.
+  [[nodiscard]] const core::ArenaFleet& fleet() const noexcept { return *fleet_; }
   /// Packets delivered so far. Workers count locally and fold their totals
   /// in when they finish, so the value is exact at phase boundaries (between
   /// run() calls) and lags the true count while a phase is running.
@@ -116,7 +118,6 @@ class ThreadedRuntime {
   /// (link down/up) run only while workers are down (fail_link/heal_link
   /// check workers_active()). DESIGN.md §11 has the argument.
   std::unique_ptr<core::ArenaFleet> fleet_;
-  std::vector<core::ArenaReducer> nodes_;  ///< one facade per node, into fleet_
   std::vector<Rng> node_rngs_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<std::vector<net::NodeId>> shards_;  // nodes per worker

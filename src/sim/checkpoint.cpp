@@ -289,24 +289,22 @@ void load_perf(BinaryReader& r, PerfCounters& perf) {
 }
 
 /// Shared state-fingerprint over the per-node protocol state, probed through
-/// the public Reducer interface (bit patterns, not values — two states agree
-/// iff every double agrees bitwise).
-void fingerprint_nodes(Fnv& h, const net::Topology& topology,
-                       const std::vector<core::ArenaReducer>& nodes,
+/// the fleet's public by-id surface (bit patterns, not values — two states
+/// agree iff every double agrees bitwise).
+void fingerprint_nodes(Fnv& h, const net::Topology& topology, const core::ArenaFleet& fleet,
                        const std::vector<bool>& alive) {
-  std::array<core::Mass, core::Reducer::kMaxFlowSlots> slots;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
+  std::array<core::Mass, core::ArenaFleet::kMaxFlowSlots> slots;
+  for (NodeId i = 0; i < fleet.size(); ++i) {
     h.add(alive[i] ? 1 : 0);
     if (!alive[i]) continue;  // dead state is unobservable; rejoin rebuilds it
-    const core::Reducer& node = nodes[i];
-    const core::Mass m = node.local_mass();
+    const core::Mass m = fleet.local_mass(i);
     for (const double v : m.s) h.add_bits(v);
     h.add_bits(m.w);
-    for (std::size_t k = 0; k < m.dim(); ++k) h.add_bits(node.estimate(k));
-    h.add(node.live_degree());
-    h.add(node.role_swaps());
-    for (const NodeId j : topology.neighbors(static_cast<NodeId>(i))) {
-      const std::size_t written = node.flows_toward(j, std::span<core::Mass>(slots));
+    for (std::size_t k = 0; k < m.dim(); ++k) h.add_bits(fleet.estimate(i, k));
+    h.add(fleet.live_degree(i));
+    h.add(fleet.role_swaps(i));
+    for (const NodeId j : topology.neighbors(i)) {
+      const std::size_t written = fleet.flows_toward(i, j, std::span<core::Mass>(slots));
       h.add(written);
       for (std::size_t s = 0; s < written; ++s) {
         for (const double v : slots[s].s) h.add_bits(v);
@@ -365,7 +363,7 @@ std::string SyncEngine::save_checkpoint(CheckpointMode mode) const {
   h.algorithm = static_cast<std::uint8_t>(config_.algorithm);
   h.engine_mode = kArenaLayout;
   h.seed = config_.seed;
-  h.nodes = nodes_.size();
+  h.nodes = fleet_->size();
   h.dim = oracle_.dim();
   h.compat_hash = sync_compat_hash(topology_, initial_, config_);
   h.position = static_cast<double>(round_);
@@ -428,7 +426,7 @@ std::string SyncEngine::save_checkpoint(CheckpointMode mode) const {
   oracle_.save(w);
   // Per-node reducer state — dead nodes included: their frozen state is
   // deterministic, and saving unconditionally keeps the layout positional.
-  for (const auto& node : nodes_) node.save_state(w);
+  for (NodeId i = 0; i < fleet_->size(); ++i) fleet_->save_node(i, w);
   save_perf(w, perf_);
   return std::move(w).take();
 }
@@ -443,7 +441,7 @@ void SyncEngine::restore(std::string_view checkpoint) {
     throw CheckpointError("checkpoint algorithm does not match this engine");
   }
   check_layout(h);
-  if (h.seed != config_.seed || h.nodes != nodes_.size() || h.dim != oracle_.dim() ||
+  if (h.seed != config_.seed || h.nodes != fleet_->size() || h.dim != oracle_.dim() ||
       h.compat_hash != sync_compat_hash(topology_, initial_, config_)) {
     throw CheckpointError(
         "checkpoint is incompatible with this engine's construction inputs "
@@ -514,7 +512,7 @@ void SyncEngine::restore(std::string_view checkpoint) {
       pending_clears_.push_back(e);
     }
     oracle_.load(r);
-    for (auto& node : nodes_) node.load_state(r);
+    for (NodeId i = 0; i < fleet_->size(); ++i) fleet_->load_node(i, r);
     load_perf(r, perf_);
     r.expect_end();
   } catch (const BinioError& e) {
@@ -529,7 +527,7 @@ void SyncEngine::restore(std::string_view checkpoint) {
 std::uint64_t SyncEngine::state_fingerprint() const {
   Fnv h;
   h.add(round_);
-  fingerprint_nodes(h, topology_, nodes_, alive_);
+  fingerprint_nodes(h, topology_, *fleet_, alive_);
   return h.h;
 }
 
@@ -577,7 +575,7 @@ std::string AsyncEngine::save_checkpoint(CheckpointMode mode) const {
   h.algorithm = static_cast<std::uint8_t>(config_.algorithm);
   h.engine_mode = kArenaLayout;
   h.seed = config_.seed;
-  h.nodes = nodes_.size();
+  h.nodes = fleet_->size();
   h.dim = oracle_.dim();
   h.compat_hash = async_compat_hash(topology_, initial_, config_);
   h.position = now_;
@@ -617,7 +615,7 @@ std::string AsyncEngine::save_checkpoint(CheckpointMode mode) const {
     w.f64(time);
   }
   oracle_.save(w);
-  for (const auto& node : nodes_) node.save_state(w);
+  for (NodeId i = 0; i < fleet_->size(); ++i) fleet_->save_node(i, w);
   save_perf(w, perf_);
 
   // The event heap. Full mode: every pending event in raw heap-vector order,
@@ -658,7 +656,7 @@ void AsyncEngine::restore(std::string_view checkpoint) {
     throw CheckpointError("checkpoint algorithm does not match this engine");
   }
   check_layout(h);
-  if (h.seed != config_.seed || h.nodes != nodes_.size() || h.dim != oracle_.dim() ||
+  if (h.seed != config_.seed || h.nodes != fleet_->size() || h.dim != oracle_.dim() ||
       h.compat_hash != async_compat_hash(topology_, initial_, config_)) {
     throw CheckpointError(
         "checkpoint is incompatible with this engine's construction inputs "
@@ -701,7 +699,7 @@ void AsyncEngine::restore(std::string_view checkpoint) {
       last_arrival_[{a, b}] = r.f64();
     }
     oracle_.load(r);
-    for (auto& node : nodes_) node.load_state(r);
+    for (NodeId i = 0; i < fleet_->size(); ++i) fleet_->load_node(i, r);
     load_perf(r, perf_);
 
     std::vector<Event> events;
@@ -715,7 +713,7 @@ void AsyncEngine::restore(std::string_view checkpoint) {
       e.kind = static_cast<Event::Kind>(kind);
       e.a = r.u32();
       e.b = r.u32();
-      if (e.a >= nodes_.size() || e.b >= nodes_.size()) {
+      if (e.a >= fleet_->size() || e.b >= fleet_->size()) {
         throw BinioError("event checkpoint: node id out of range");
       }
       e.seq = r.u64();
@@ -735,7 +733,7 @@ void AsyncEngine::restore(std::string_view checkpoint) {
 std::uint64_t AsyncEngine::state_fingerprint() const {
   Fnv h;
   h.add_bits(now_);
-  fingerprint_nodes(h, topology_, nodes_, alive_);
+  fingerprint_nodes(h, topology_, *fleet_, alive_);
   return h.h;
 }
 

@@ -19,7 +19,6 @@ struct AsyncEngine::View final : SystemView {
   [[nodiscard]] core::Algorithm algorithm() const override { return engine.config_.algorithm; }
   [[nodiscard]] double time() const override { return engine.now_; }
   [[nodiscard]] bool alive(NodeId i) const override { return engine.alive_.at(i); }
-  [[nodiscard]] const core::Reducer& node(NodeId i) const override { return engine.nodes_.at(i); }
   [[nodiscard]] const core::ArenaFleet& fleet() const override { return *engine.fleet_; }
   [[nodiscard]] bool link_dead(NodeId a, NodeId b) const override {
     return engine.dead_links_.contains(a, b);
@@ -78,7 +77,6 @@ AsyncEngine::AsyncEngine(net::Topology topology, std::span<const core::Mass> ini
   const Rng base(config_.seed);
   fleet_ = std::make_unique<core::ArenaFleet>(config_.algorithm, config_.reducer, topology_,
                                               initial);
-  nodes_ = core::make_facades(*fleet_, topology_, initial);
   for (NodeId i = 0; i < topology.size(); ++i) node_rngs_.push_back(base.fork(i));
   alive_.assign(topology.size(), true);
   for (NodeId i = 0; i < topology.size(); ++i) schedule_tick(i);
@@ -172,8 +170,8 @@ bool AsyncEngine::revive_link(NodeId a, NodeId b) {
 
 void AsyncEngine::retarget_now() {
   std::vector<core::Mass> current;
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) current.push_back(nodes_[i].local_mass());
+  for (NodeId i = 0; i < fleet_->size(); ++i) {
+    if (alive_[i]) current.push_back(fleet_->local_mass(i));
   }
   append_in_flight_mass(current);
   oracle_.retarget(current);
@@ -192,9 +190,9 @@ void AsyncEngine::handle(const Event& e) {
       schedule_tick(i);
       if (config_.faults.state_flip_prob > 0.0 &&
           net_rng_.chance(config_.faults.state_flip_prob)) {
-        (void)nodes_[i].corrupt_stored_flow(net_rng_);  // memory soft error
+        (void)fleet_->corrupt_stored_flow(i, net_rng_);  // memory soft error
       }
-      auto out = nodes_[i].make_message(node_rngs_[i]);
+      auto out = fleet_->make_message(i, node_rngs_[i]);
       if (!out) return;
       if (dead_links_.contains(i, out->to) || !alive_[out->to]) return;
       const auto& plan = config_.faults;
@@ -217,7 +215,7 @@ void AsyncEngine::handle(const Event& e) {
         last = arrival;
       }
       ++perf_.messages_sent;
-      perf_.doubles_on_wire += nodes_[i].wire_masses() * (packet.a.dim() + 1);
+      perf_.doubles_on_wire += fleet_->wire_masses() * (packet.a.dim() + 1);
       if (plan.duplicate_prob > 0.0 && net_rng_.chance(plan.duplicate_prob)) {
         ++duplicates_injected_;
         Event dup{arrival + 1e-9, Event::Kind::kDelivery, i, out->to, 0, 0.0, packet};
@@ -233,7 +231,7 @@ void AsyncEngine::handle(const Event& e) {
       // the link's last heal died with the outage (stale_delivery).
       if (dead_links_.contains(e.a, e.b) || !alive_[e.b]) return;
       if (stale_delivery(e)) return;
-      nodes_[e.b].on_receive(e.a, e.packet);
+      fleet_->receive(e.b, e.a, e.packet);
       ++delivered_;
       ++perf_.deliveries;
       return;
@@ -271,7 +269,7 @@ void AsyncEngine::handle(const Event& e) {
         if (!alive_[peer] || cut_links_.contains(i, peer)) {
           // The peer is down, or the cable failed independently of the crash
           // and is still cut — exclude it immediately.
-          nodes_[i].on_link_down(peer);
+          fleet_->on_link_down(i, peer);
           continue;
         }
         (void)revive_link(i, peer);
@@ -292,7 +290,7 @@ void AsyncEngine::handle(const Event& e) {
       --pending_up_notices_;
       // Report "up" only if the link did not die again during the delay.
       if (alive_[e.a] && !dead_links_.contains(e.a, e.b)) {
-        nodes_[e.a].on_link_up(e.b);
+        fleet_->on_link_up(e.a, e.b);
       }
       return;
     }
@@ -303,8 +301,8 @@ void AsyncEngine::handle(const Event& e) {
       ++false_detects_fired_;
       // Both detectors report the link down; transport stays up, so packets
       // already in flight still arrive (and are dropped by the reducers).
-      nodes_[e.a].on_link_down(e.b);
-      nodes_[e.b].on_link_down(e.a);
+      fleet_->on_link_down(e.a, e.b);
+      fleet_->on_link_down(e.b, e.a);
       push({now_ + e.aux, Event::Kind::kFalseClear, e.a, e.b, 0, 0.0, {}});
       return;
     }
@@ -312,14 +310,14 @@ void AsyncEngine::handle(const Event& e) {
       if (falsely_excluded_.erase(e.a, e.b) == 0) return;  // superseded by a real failure
       if (alive_[e.a] && alive_[e.b] && !dead_links_.contains(e.a, e.b)) {
         ++false_clears_fired_;
-        nodes_[e.a].on_link_up(e.b);
-        nodes_[e.b].on_link_up(e.a);
+        fleet_->on_link_up(e.a, e.b);
+        fleet_->on_link_up(e.b, e.a);
       }
       return;
     }
     case Event::Kind::kDataUpdate: {
       if (!alive_[e.a]) return;
-      nodes_[e.a].update_data(e.packet.a);
+      fleet_->update_data(e.a, e.packet.a);
       // A live update changes the conserved mass by exactly delta — no
       // snapshot needed, so this is exact even with packets in flight.
       oracle_.shift(e.packet.a);
@@ -331,7 +329,7 @@ void AsyncEngine::handle(const Event& e) {
       // Skip the report if the link healed (or the node rejoined and revived
       // it) while the detector was still counting down.
       if (alive_[e.a] && dead_links_.contains(e.a, e.b)) {
-        nodes_[e.a].on_link_down(e.b);
+        fleet_->on_link_down(e.a, e.b);
       }
       if (pending_retarget_) {
         // Survivors' local masses alone miss whatever is still on the wire
@@ -359,8 +357,8 @@ void AsyncEngine::append_in_flight_mass(std::vector<core::Mass>& masses) const {
     if (e.kind != Event::Kind::kDelivery) continue;
     if (dead_links_.contains(e.a, e.b) || !alive_[e.b]) continue;
     if (stale_delivery(e)) continue;  // lost in a pre-heal outage
-    if (nodes_[e.b].in_flight_mass_accumulates()) {
-      core::Mass m = nodes_[e.b].unreceived_mass(e.a, e.packet);
+    if (fleet_->in_flight_mass_accumulates()) {
+      core::Mass m = fleet_->unreceived_mass(e.b, e.a, e.packet);
       if (!m.is_zero()) masses.push_back(std::move(m));
     } else {
       const Event*& slot = newest[{e.a, e.b}];
@@ -368,7 +366,7 @@ void AsyncEngine::append_in_flight_mass(std::vector<core::Mass>& masses) const {
     }
   }
   for (const auto& [link, event] : newest) {
-    core::Mass m = nodes_[event->b].unreceived_mass(event->a, event->packet);
+    core::Mass m = fleet_->unreceived_mass(event->b, event->a, event->packet);
     if (!m.is_zero()) masses.push_back(std::move(m));
   }
 }
@@ -400,16 +398,16 @@ bool AsyncEngine::run_until_error(double tol, double deadline, double check_inte
 
 std::vector<double> AsyncEngine::estimates(std::size_t k) const {
   std::vector<double> out;
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) out.push_back(nodes_[i].estimate(k));
+  for (NodeId i = 0; i < fleet_->size(); ++i) {
+    if (alive_[i]) out.push_back(fleet_->estimate(i, k));
   }
   return out;
 }
 
 double AsyncEngine::max_error(std::size_t k) const {
   double worst = 0.0;
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) worst = std::max(worst, oracle_.error_of(nodes_[i].estimate(k), k));
+  for (NodeId i = 0; i < fleet_->size(); ++i) {
+    if (alive_[i]) worst = std::max(worst, oracle_.error_of(fleet_->estimate(i, k), k));
   }
   return worst;
 }

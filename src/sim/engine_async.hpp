@@ -67,9 +67,12 @@ class AsyncEngine {
   /// the churn event chains are seeded from the rates given at construction
   /// (setting churn_fail_prob afterwards starts no new chain).
   [[nodiscard]] FaultPlan& mutable_faults() noexcept { return config_.faults; }
-  [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return fleet_->size(); }
   [[nodiscard]] const Oracle& oracle() const noexcept { return oracle_; }
-  [[nodiscard]] core::Reducer& node(NodeId i) { return nodes_.at(i); }
+  /// The state arena holding every node's protocol state, by node id. The
+  /// mutable overload bypasses the engine (no oracle shift, no accounting).
+  [[nodiscard]] const core::ArenaFleet& fleet() const noexcept { return *fleet_; }
+  [[nodiscard]] core::ArenaFleet& fleet() noexcept { return *fleet_; }
   [[nodiscard]] std::vector<double> estimates(std::size_t k = 0) const;
   [[nodiscard]] double max_error(std::size_t k = 0) const;
   [[nodiscard]] std::size_t messages_delivered() const noexcept { return delivered_; }
@@ -162,8 +165,7 @@ class AsyncEngine {
 
   net::Topology topology_;
   AsyncEngineConfig config_;
-  std::unique_ptr<core::ArenaFleet> fleet_;  // stable address: nodes_ point into it
-  std::vector<core::ArenaReducer> nodes_;    // one facade per node
+  std::unique_ptr<core::ArenaFleet> fleet_;
   std::vector<Rng> node_rngs_;
   Rng net_rng_;
   Oracle oracle_;

@@ -15,25 +15,6 @@ bool notice_on(NodeId node, NodeId peer, NodeId a, NodeId b) {
 }
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Round-phase ops: the round templates below are written once and
-// instantiated per algorithm; ArenaOps<A> inlines the fleet's flat-array send
-// and receive (the devirtualized hot path).
-// ---------------------------------------------------------------------------
-
-template <core::Algorithm A>
-struct SyncEngine::ArenaOps {
-  SyncEngine& e;
-  using Send = core::ArenaFleet::Send;
-  std::optional<Send> make(NodeId i) {
-    return e.fleet_->make_message<A>(i, e.node_rngs_[i]);
-  }
-  void deliver(NodeId to, NodeId from, std::uint32_t to_slot, const core::Packet& p) {
-    e.fleet_->receive<A>(to, from, static_cast<std::size_t>(to_slot), p);
-  }
-  [[nodiscard]] std::size_t wire_masses(NodeId /*i*/) const { return e.fleet_->wire_masses(); }
-};
-
 /// Read-only adapter the invariant checkers observe the engine through.
 struct SyncEngine::View final : SystemView {
   explicit View(const SyncEngine& e) : engine(e) {}
@@ -41,7 +22,6 @@ struct SyncEngine::View final : SystemView {
   [[nodiscard]] core::Algorithm algorithm() const override { return engine.config_.algorithm; }
   [[nodiscard]] double time() const override { return static_cast<double>(engine.round_); }
   [[nodiscard]] bool alive(NodeId i) const override { return engine.alive_.at(i); }
-  [[nodiscard]] const core::Reducer& node(NodeId i) const override { return engine.nodes_.at(i); }
   [[nodiscard]] const core::ArenaFleet& fleet() const override { return *engine.fleet_; }
   [[nodiscard]] bool link_dead(NodeId a, NodeId b) const override {
     return engine.dead_links_.contains(a, b);
@@ -115,7 +95,6 @@ SyncEngine::SyncEngine(net::Topology topology, std::span<const core::Mass> initi
   const Rng base(config_.seed);
   fleet_ = std::make_unique<core::ArenaFleet>(config_.algorithm, config_.reducer, topology_,
                                               initial);
-  nodes_ = core::make_facades(*fleet_, topology_, initial);
   node_rngs_.reserve(topology.size());
   for (NodeId i = 0; i < topology.size(); ++i) node_rngs_.push_back(base.fork(i));
   alive_.assign(topology.size(), true);
@@ -211,7 +190,7 @@ void SyncEngine::rejoin_node(NodeId node, double physical_time) {
     // links (scheduled/explicit/churn) stay down until their own heal.
     const bool stays_down = !alive_[peer] || cut_links_.contains(node, peer);
     if (stays_down) {
-      nodes_[node].on_link_down(peer);
+      fleet_->on_link_down(node, peer);
     } else if (dead_links_.contains(node, peer)) {
       revive_link(node, peer, physical_time);
     }
@@ -230,9 +209,9 @@ void SyncEngine::deliver_notifications_due() {
   for (const auto& n : pending_notices_) {
     if (!due(n) || !alive_[n.node]) continue;
     if (n.up) {
-      nodes_[n.node].on_link_up(n.peer);
+      fleet_->on_link_up(n.node, n.peer);
     } else {
-      nodes_[n.node].on_link_down(n.peer);
+      fleet_->on_link_down(n.node, n.peer);
     }
   }
   pending_notices_.erase(
@@ -311,8 +290,8 @@ void SyncEngine::process_due_faults() {
     // Only a LIVE link can be falsely detected down; transport stays up.
     if (!alive_[e.a] || !alive_[e.b] || dead_links_.contains(e.a, e.b)) continue;
     ++false_detects_fired_;
-    nodes_[e.a].on_link_down(e.b);
-    nodes_[e.b].on_link_down(e.a);
+    fleet_->on_link_down(e.a, e.b);
+    fleet_->on_link_down(e.b, e.a);
     falsely_excluded_.insert(e.a, e.b);
     pending_clears_.push_back({e.time + e.clear_delay, e.a, e.b, 0.0});
   }
@@ -330,8 +309,8 @@ void SyncEngine::process_due_faults() {
       // "Detected up" — unless the link genuinely died in the meantime.
       if (alive_[e.a] && alive_[e.b] && !dead_links_.contains(e.a, e.b)) {
         ++false_clears_fired_;
-        nodes_[e.a].on_link_up(e.b);
-        nodes_[e.b].on_link_up(e.a);
+        fleet_->on_link_up(e.a, e.b);
+        fleet_->on_link_up(e.b, e.a);
       }
     }
   }
@@ -339,7 +318,7 @@ void SyncEngine::process_due_faults() {
          plan.data_updates[next_data_update_].time <= now) {
     const auto& u = plan.data_updates[next_data_update_++];
     if (!alive_[u.node]) continue;
-    nodes_[u.node].update_data(u.delta);
+    fleet_->update_data(u.node, u.delta);
     // A live update changes the conserved mass by exactly delta.
     oracle_.shift(u.delta);
   }
@@ -366,8 +345,8 @@ void SyncEngine::fail_link_now(NodeId a, NodeId b) {
   if (!dead_links_.insert(a, b)) return;
   cut_links_.insert(a, b);
   ++explicit_link_failures_;
-  if (alive_[a]) nodes_[a].on_link_down(b);
-  if (alive_[b]) nodes_[b].on_link_down(a);
+  if (alive_[a]) fleet_->on_link_down(a, b);
+  if (alive_[b]) fleet_->on_link_down(b, a);
 }
 
 void SyncEngine::heal_link_now(NodeId a, NodeId b) {
@@ -375,14 +354,14 @@ void SyncEngine::heal_link_now(NodeId a, NodeId b) {
   PCF_CHECK_MSG(alive_[a] && alive_[b],
                 "heal_link_now: endpoint crashed (a rejoin revives its links)");
   if (!heal_dead_link(a, b)) return;
-  nodes_[a].on_link_up(b);
-  nodes_[b].on_link_up(a);
+  fleet_->on_link_up(a, b);
+  fleet_->on_link_up(b, a);
 }
 
 void SyncEngine::apply_data_update(NodeId node, const core::Mass& delta) {
-  PCF_CHECK_MSG(node < nodes_.size(), "data update node out of range");
+  PCF_CHECK_MSG(node < fleet_->size(), "data update node out of range");
   PCF_CHECK_MSG(alive_[node], "data update on a crashed node");
-  nodes_[node].update_data(delta);
+  fleet_->update_data(node, delta);
   oracle_.shift(delta);
   ++explicit_data_updates_;
 }
@@ -398,9 +377,9 @@ std::size_t SyncEngine::step() {
   {
     const auto timer = perf_.time(PerfCounters::Phase::kGossip);
     if (plan.state_flip_prob > 0.0) {
-      for (NodeId i = 0; i < nodes_.size(); ++i) {
+      for (NodeId i = 0; i < fleet_->size(); ++i) {
         if (alive_[i] && fault_rng_.chance(plan.state_flip_prob)) {
-          if (nodes_[i].corrupt_stored_flow(fault_rng_)) ++stats_.state_flips;
+          if (fleet_->corrupt_stored_flow(i, fault_rng_)) ++stats_.state_flips;
         }
       }
     }
@@ -426,18 +405,19 @@ std::size_t SyncEngine::step() {
   return round_;
 }
 
-template <typename Ops>
-void SyncEngine::send_phase(Ops& ops) {
+template <core::Algorithm A>
+void SyncEngine::send_phase() {
   auto& plan = config_.faults;
   // Any reorder probability routes packets through the wire even in
   // sequential mode — reordering needs the full round's packets in hand.
   const bool via_wire = config_.delivery == Delivery::kCrossing || plan.reorder_prob > 0.0;
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
+  const std::size_t wire_masses = fleet_->wire_masses();
+  for (NodeId i = 0; i < fleet_->size(); ++i) {
     if (!alive_[i]) continue;
-    auto out = ops.make(i);
+    auto out = fleet_->make_message<A>(i, node_rngs_[i]);
     if (!out) continue;
     ++stats_.messages_sent;
-    stats_.doubles_sent += ops.wire_masses(i) * (out->packet.a.dim() + 1);
+    stats_.doubles_sent += wire_masses * (out->packet.a.dim() + 1);
     // Transport faults, in physical order: a dead link transports nothing;
     // a live link may drop or corrupt the packet. (The fleet's CSR slots are
     // the topology's, so the receiver-side slot indexes the link set too.)
@@ -456,12 +436,12 @@ void SyncEngine::send_phase(Ops& ops) {
     if (!via_wire) {
       const bool dup =
           plan.duplicate_prob > 0.0 && fault_rng_.chance(plan.duplicate_prob);
-      ops.deliver(out->to, i, out->to_slot, out->packet);
+      fleet_->receive<A>(out->to, i, out->to_slot, out->packet);
       ++perf_.deliveries;
       if (dup) {
         // The duplicate arrives back-to-back with the original.
         ++stats_.messages_duplicated;
-        ops.deliver(out->to, i, out->to_slot, out->packet);
+        fleet_->receive<A>(out->to, i, out->to_slot, out->packet);
         ++perf_.deliveries;
       }
     } else {
@@ -473,15 +453,16 @@ void SyncEngine::send_phase(Ops& ops) {
   }
 }
 
-template <typename Ops>
-void SyncEngine::send_phase_sharded(Ops& ops) {
+template <core::Algorithm A>
+void SyncEngine::send_phase_sharded() {
   // Preconditions (dispatch_send_phase): all packets go to the wire and the
   // send loop draws no fault_rng_ — only node_rngs_[i], which are per-node.
   // Each shard owns a contiguous node block and writes only its senders'
   // wire slots, so the wire is the serial one byte-for-byte.
   auto& plan = config_.faults;
-  const std::size_t n = nodes_.size();
+  const std::size_t n = fleet_->size();
   const std::size_t shards = std::min(shards_, n);
+  const std::size_t wire_masses = fleet_->wire_masses();
   struct Local {
     std::size_t sent = 0;
     std::size_t dropped = 0;
@@ -495,10 +476,10 @@ void SyncEngine::send_phase_sharded(Ops& ops) {
     Local& local = locals[s];
     for (NodeId i = lo; i < hi; ++i) {
       if (!alive_[i]) continue;
-      auto out = ops.make(i);
+      auto out = fleet_->make_message<A>(i, node_rngs_[i]);
       if (!out) continue;
       ++local.sent;
-      local.doubles += ops.wire_masses(i) * (out->packet.a.dim() + 1);
+      local.doubles += wire_masses * (out->packet.a.dim() + 1);
       if (dead_links_.contains_at(out->to, out->to_slot) || !alive_[out->to]) {
         ++local.dropped;
         continue;
@@ -518,13 +499,13 @@ void SyncEngine::send_phase_sharded(Ops& ops) {
   if (plan.reorder_prob > 0.0 && wire_count_ > 0) wire_reordered_ = true;
 }
 
-template <typename Ops>
-void SyncEngine::drain_phase(Ops& ops) {
+template <core::Algorithm A>
+void SyncEngine::drain_phase() {
   auto& plan = config_.faults;
   // The present slots in ascending sender order: the order the serial send
   // loop produced them.
   drain_order_.clear();
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
+  for (NodeId i = 0; i < fleet_->size(); ++i) {
     if (wire_present_[i] != 0) drain_order_.push_back(i);
   }
   // Reordering: each packet is independently selected with reorder_prob; the
@@ -548,25 +529,25 @@ void SyncEngine::drain_phase(Ops& ops) {
     const auto& msg = wire_[from];
     if (!alive_[msg.to]) continue;
     const bool dup = plan.duplicate_prob > 0.0 && fault_rng_.chance(plan.duplicate_prob);
-    ops.deliver(msg.to, static_cast<NodeId>(from), msg.to_slot, msg.packet);
+    fleet_->receive<A>(msg.to, static_cast<NodeId>(from), msg.to_slot, msg.packet);
     ++perf_.deliveries;
     if (dup) {
       ++stats_.messages_duplicated;
-      ops.deliver(msg.to, static_cast<NodeId>(from), msg.to_slot, msg.packet);
+      fleet_->receive<A>(msg.to, static_cast<NodeId>(from), msg.to_slot, msg.packet);
       ++perf_.deliveries;
     }
   }
 }
 
-template <typename Ops>
-void SyncEngine::drain_phase_sharded(Ops& ops) {
+template <core::Algorithm A>
+void SyncEngine::drain_phase_sharded() {
   // Preconditions (dispatch_drain_phase): no duplicate/reorder draws, so
   // delivery order only matters PER RECEIVER, and a receive mutates only the
   // receiver's own arena rows. Stable counting sort of the present slots by
   // receiver, then shard over contiguous receiver ranges — each receiver sees
   // its packets in ascending sender order, the serial order, so the
   // post-drain state is byte-identical.
-  const std::size_t n = nodes_.size();
+  const std::size_t n = fleet_->size();
   // Counts land at [to + 2]; after the prefix sum [r + 1] is receiver r's
   // start, and placing advances it to r's end, leaving [r, r + 1) = r's range.
   drain_offsets_.assign(n + 2, 0);
@@ -589,7 +570,7 @@ void SyncEngine::drain_phase_sharded(Ops& ops) {
       for (std::size_t p = drain_offsets_[r]; p < drain_offsets_[r + 1]; ++p) {
         const std::size_t from = drain_order_[p];
         const auto& msg = wire_[from];
-        ops.deliver(msg.to, static_cast<NodeId>(from), msg.to_slot, msg.packet);
+        fleet_->receive<A>(msg.to, static_cast<NodeId>(from), msg.to_slot, msg.packet);
         ++delivered;
       }
     }
@@ -598,58 +579,22 @@ void SyncEngine::drain_phase_sharded(Ops& ops) {
   for (const std::size_t d : local_deliveries) perf_.deliveries += d;
 }
 
-template <typename F>
-void SyncEngine::with_ops(F&& f) {
-  switch (config_.algorithm) {
-    case core::Algorithm::kPushSum: {
-      ArenaOps<core::Algorithm::kPushSum> ops{*this};
-      f(ops);
-      return;
-    }
-    case core::Algorithm::kPushFlow: {
-      ArenaOps<core::Algorithm::kPushFlow> ops{*this};
-      f(ops);
-      return;
-    }
-    case core::Algorithm::kPushCancelFlow: {
-      ArenaOps<core::Algorithm::kPushCancelFlow> ops{*this};
-      f(ops);
-      return;
-    }
-    case core::Algorithm::kFlowUpdating: {
-      ArenaOps<core::Algorithm::kFlowUpdating> ops{*this};
-      f(ops);
-      return;
-    }
-    case core::Algorithm::kCorrectionAllreduce: {
-      ArenaOps<core::Algorithm::kCorrectionAllreduce> ops{*this};
-      f(ops);
-      return;
-    }
-    case core::Algorithm::kFuMassHybrid: {
-      ArenaOps<core::Algorithm::kFuMassHybrid> ops{*this};
-      f(ops);
-      return;
-    }
-  }
-}
-
 void SyncEngine::dispatch_send_phase() {
   const auto& plan = config_.faults;
   const bool via_wire = config_.delivery == Delivery::kCrossing || plan.reorder_prob > 0.0;
   if (via_wire && wire_.empty()) {
-    wire_.resize(nodes_.size());
-    wire_present_.assign(nodes_.size(), 0);
+    wire_.resize(fleet_->size());
+    wire_present_.assign(fleet_->size(), 0);
   }
   // Sharding needs a send loop with no shared-RNG draws (loss/flip) and no
   // cross-node state mutation (immediate delivery).
-  const bool sharded = shards_ > 1 && nodes_.size() > 1 && via_wire &&
+  const bool sharded = shards_ > 1 && fleet_->size() > 1 && via_wire &&
                        plan.message_loss_prob == 0.0 && plan.bit_flip_prob == 0.0;
-  with_ops([&](auto& ops) {
+  core::dispatch(config_.algorithm, [&](auto a) {
     if (sharded) {
-      send_phase_sharded(ops);
+      send_phase_sharded<decltype(a)::value>();
     } else {
-      send_phase(ops);
+      send_phase<decltype(a)::value>();
     }
   });
 }
@@ -660,11 +605,11 @@ void SyncEngine::dispatch_drain_phase() {
   // Sharding needs a drain with no per-delivery fault_rng_ draws.
   const bool sharded = shards_ > 1 && wire_count_ > 1 && plan.duplicate_prob == 0.0 &&
                        plan.reorder_prob == 0.0;
-  with_ops([&](auto& ops) {
+  core::dispatch(config_.algorithm, [&](auto a) {
     if (sharded) {
-      drain_phase_sharded(ops);
+      drain_phase_sharded<decltype(a)::value>();
     } else {
-      drain_phase(ops);
+      drain_phase<decltype(a)::value>();
     }
   });
   std::fill(wire_present_.begin(), wire_present_.end(), std::uint8_t{0});
@@ -703,26 +648,26 @@ RunStats SyncEngine::run_until_fixed_point(std::size_t max_rounds, std::size_t w
 
 std::vector<double> SyncEngine::estimates(std::size_t k) const {
   std::vector<double> out;
-  out.reserve(nodes_.size());
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) out.push_back(nodes_[i].estimate(k));
+  out.reserve(fleet_->size());
+  for (NodeId i = 0; i < fleet_->size(); ++i) {
+    if (alive_[i]) out.push_back(fleet_->estimate(i, k));
   }
   return out;
 }
 
 std::vector<core::Mass> SyncEngine::masses() const {
   std::vector<core::Mass> out;
-  out.reserve(nodes_.size());
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) out.push_back(nodes_[i].local_mass());
+  out.reserve(fleet_->size());
+  for (NodeId i = 0; i < fleet_->size(); ++i) {
+    if (alive_[i]) out.push_back(fleet_->local_mass(i));
   }
   return out;
 }
 
 double SyncEngine::max_error(std::size_t k) const {
   double worst = 0.0;
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) worst = std::max(worst, oracle_.error_of(nodes_[i].estimate(k), k));
+  for (NodeId i = 0; i < fleet_->size(); ++i) {
+    if (alive_[i]) worst = std::max(worst, oracle_.error_of(fleet_->estimate(i, k), k));
   }
   return worst;
 }
@@ -731,26 +676,26 @@ double SyncEngine::median_error(std::size_t k) const { return error_quantile(0.5
 
 double SyncEngine::error_quantile(double q, std::size_t k) const {
   std::vector<double> errs;
-  errs.reserve(nodes_.size());
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) errs.push_back(oracle_.error_of(nodes_[i].estimate(k), k));
+  errs.reserve(fleet_->size());
+  for (NodeId i = 0; i < fleet_->size(); ++i) {
+    if (alive_[i]) errs.push_back(oracle_.error_of(fleet_->estimate(i, k), k));
   }
   return quantile(errs, q);
 }
 
 double SyncEngine::max_abs_flow() const {
   double best = 0.0;
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) best = std::max(best, nodes_[i].max_abs_flow_component());
+  for (NodeId i = 0; i < fleet_->size(); ++i) {
+    if (alive_[i]) best = std::max(best, fleet_->max_abs_flow_component(i));
   }
   return best;
 }
 
 TracePoint SyncEngine::sample(std::size_t k) const {
   std::vector<double> errs;
-  errs.reserve(nodes_.size());
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) errs.push_back(oracle_.error_of(nodes_[i].estimate(k), k));
+  errs.reserve(fleet_->size());
+  for (NodeId i = 0; i < fleet_->size(); ++i) {
+    if (alive_[i]) errs.push_back(oracle_.error_of(fleet_->estimate(i, k), k));
   }
   TracePoint p;
   p.time = static_cast<double>(round_);

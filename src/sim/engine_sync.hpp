@@ -103,7 +103,7 @@ class SyncEngine {
   RunStats run_until_fixed_point(std::size_t max_rounds, std::size_t window = 32);
 
   // ---- observation ----
-  [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return fleet_->size(); }
   [[nodiscard]] std::size_t round() const noexcept { return round_; }
   [[nodiscard]] const Oracle& oracle() const noexcept { return oracle_; }
   [[nodiscard]] const RunStats& stats() const noexcept { return stats_; }
@@ -134,11 +134,12 @@ class SyncEngine {
   [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> dead_links() const {
     return {dead_links_.begin(), dead_links_.end()};
   }
-  [[nodiscard]] core::Reducer& node(NodeId i) { return nodes_.at(i); }
-  [[nodiscard]] const core::Reducer& node(NodeId i) const { return nodes_.at(i); }
   [[nodiscard]] bool node_alive(NodeId i) const { return alive_.at(i); }
-  /// The SoA state arena holding every node's protocol state.
+  /// The SoA state arena holding every node's protocol state, addressed by
+  /// node id. The mutable overload bypasses the engine (no oracle shift, no
+  /// fault accounting): tests use it to inject corruption or raw updates.
   [[nodiscard]] const core::ArenaFleet& fleet() const noexcept { return *fleet_; }
+  [[nodiscard]] core::ArenaFleet& fleet() noexcept { return *fleet_; }
   /// Resolved shard count (config_.shards with 0 expanded to hardware).
   [[nodiscard]] std::size_t shards() const noexcept { return shards_; }
 
@@ -198,8 +199,6 @@ class SyncEngine {
 
  private:
   struct View;
-  template <core::Algorithm A>
-  struct ArenaOps;
   void check_invariants(bool force);
   void process_due_faults();
   void fail_link(NodeId a, NodeId b, double physical_time, bool independent);
@@ -213,28 +212,25 @@ class SyncEngine {
   void rejoin_node(NodeId node, double physical_time);
   void deliver_notifications_due();
 
-  // Round phases, templated on the algorithm's ops (ArenaOps<A> inlines the
-  // fleet's flat-array send/receive). The *_sharded variants split the node
-  // range into `shards_` contiguous blocks; every sender owns its wire slot,
-  // so the result is byte-identical to the serial phase.
-  template <typename Ops>
-  void send_phase(Ops& ops);
-  template <typename Ops>
-  void send_phase_sharded(Ops& ops);
-  template <typename Ops>
-  void drain_phase(Ops& ops);
-  template <typename Ops>
-  void drain_phase_sharded(Ops& ops);
-  /// Calls f(ops) with the ArenaOps of the configured algorithm.
-  template <typename F>
-  void with_ops(F&& f);
+  // Round phases, templated on the algorithm so the fleet's flat-array send
+  // and receive inline (the devirtualized hot path); dispatch_* pick the
+  // instantiation through core::dispatch. The *_sharded variants split the
+  // node range into `shards_` contiguous blocks; every sender owns its wire
+  // slot, so the result is byte-identical to the serial phase.
+  template <core::Algorithm A>
+  void send_phase();
+  template <core::Algorithm A>
+  void send_phase_sharded();
+  template <core::Algorithm A>
+  void drain_phase();
+  template <core::Algorithm A>
+  void drain_phase_sharded();
   void dispatch_send_phase();
   void dispatch_drain_phase();
 
   net::Topology topology_;
   SyncEngineConfig config_;
-  std::unique_ptr<core::ArenaFleet> fleet_;  // stable address: nodes_ point into it
-  std::vector<core::ArenaReducer> nodes_;    // one facade per node
+  std::unique_ptr<core::ArenaFleet> fleet_;
   std::size_t shards_ = 1;
   std::vector<Rng> node_rngs_;
   Rng fault_rng_;

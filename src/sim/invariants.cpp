@@ -50,7 +50,7 @@ class MassConservationChecker final : public InvariantChecker {
     const auto n = static_cast<NodeId>(view.topology().size());
     for (NodeId i = 0; i < n; ++i) {
       if (!view.alive(i)) continue;
-      const core::Mass m = view.node(i).local_mass();
+      const core::Mass m = view.fleet().local_mass(i);
       if (m.dim() != d) {
         out.push_back({std::string(name()), view.time(),
                        "node mass dimension mismatch vs oracle"});
@@ -103,12 +103,13 @@ class FlowAntisymmetryChecker final : public InvariantChecker {
     const auto algorithm = view.algorithm();
     if (algorithm == core::Algorithm::kPushSum) return;
     if (edges_.empty()) edges_ = view.topology().edges();
-    std::array<core::Mass, core::Reducer::kMaxFlowSlots> fa;
-    std::array<core::Mass, core::Reducer::kMaxFlowSlots> fb;
+    std::array<core::Mass, core::ArenaFleet::kMaxFlowSlots> fa;
+    std::array<core::Mass, core::ArenaFleet::kMaxFlowSlots> fb;
+    const core::ArenaFleet& fleet = view.fleet();
     for (const auto& [a, b] : edges_) {
       if (!view.alive(a) || !view.alive(b) || view.link_dead(a, b)) continue;
-      const std::size_t na = view.node(a).flows_toward(b, fa);
-      const std::size_t nb = view.node(b).flows_toward(a, fb);
+      const std::size_t na = fleet.flows_toward(a, b, fa);
+      const std::size_t nb = fleet.flows_toward(b, a, fb);
       if (na != nb) {
         out.push_back({std::string(name()), view.time(),
                        "edge " + format_edge(a, b) + ": endpoints disagree on slot count"});
@@ -116,8 +117,8 @@ class FlowAntisymmetryChecker final : public InvariantChecker {
       }
       if (na == 0) continue;
       if (algorithm == core::Algorithm::kPushCancelFlow) {
-        const auto ea = view.fleet().pcf_edge_state(a, b);
-        const auto eb = view.fleet().pcf_edge_state(b, a);
+        const auto ea = fleet.pcf_edge_state(a, b);
+        const auto eb = fleet.pcf_edge_state(b, a);
         if (ea.role_count != eb.role_count || ea.role_count % 2 != 0) continue;
       }
       for (std::size_t s = 0; s < na; ++s) {
@@ -265,7 +266,7 @@ class EstimateEnvelopeChecker final : public InvariantChecker {
     for (NodeId i = 0; i < n; ++i) {
       if (!view.alive(i)) continue;
       for (std::size_t k = 0; k < oracle.dim(); ++k) {
-        worst = std::max(worst, oracle.error_of(view.node(i).estimate(k), k));
+        worst = std::max(worst, oracle.error_of(view.fleet().estimate(i, k), k));
       }
     }
     if (!std::isfinite(worst)) return;  // the finite-state checker reports this
@@ -300,19 +301,19 @@ class FiniteStateChecker final : public InvariantChecker {
     const FaultExposure f = view.faults();
     if (f.any_bit_flips) return;
     const Oracle& oracle = view.oracle();
+    const core::ArenaFleet& fleet = view.fleet();
     const auto n = static_cast<NodeId>(view.topology().size());
     for (NodeId i = 0; i < n; ++i) {
       if (!view.alive(i)) continue;
-      const core::Reducer& node = view.node(i);
       for (std::size_t k = 0; k < oracle.dim(); ++k) {
-        if (!std::isfinite(node.estimate(k))) {
+        if (!std::isfinite(fleet.estimate(i, k))) {
           std::ostringstream os;
           os << "node " << i << " estimate(" << k << ") is not finite";
           out.push_back({std::string(name()), view.time(), os.str()});
           break;
         }
       }
-      if (!std::isfinite(node.max_abs_flow_component())) {
+      if (!std::isfinite(fleet.max_abs_flow_component(i))) {
         std::ostringstream os;
         os << "node " << i << " has a non-finite flow component";
         out.push_back({std::string(name()), view.time(), os.str()});

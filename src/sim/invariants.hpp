@@ -99,7 +99,10 @@ struct FaultExposure {
 };
 
 /// Engine-agnostic read-only view of a running system, implemented by
-/// adapters inside SyncEngine and AsyncEngine (and by fakes in tests).
+/// adapters inside SyncEngine and AsyncEngine (and by fakes in tests). The
+/// checkers read per-node protocol state from fleet() by node id, and the
+/// engine-level facts (liveness, dead links, the oracle, fault exposure)
+/// from the view itself.
 class SystemView {
  public:
   virtual ~SystemView() = default;
@@ -108,9 +111,7 @@ class SystemView {
   /// Round index (sync) or simulation time (async).
   [[nodiscard]] virtual double time() const = 0;
   [[nodiscard]] virtual bool alive(NodeId i) const = 0;
-  [[nodiscard]] virtual const core::Reducer& node(NodeId i) const = 0;
-  /// The state arena behind node(): checkers that need layout-level state
-  /// (the PCF handshake counters) probe it directly.
+  /// The state arena holding every node's protocol state.
   [[nodiscard]] virtual const core::ArenaFleet& fleet() const = 0;
   [[nodiscard]] virtual bool link_dead(NodeId a, NodeId b) const = 0;
   [[nodiscard]] virtual const Oracle& oracle() const = 0;

@@ -8,7 +8,6 @@
 // neighborhood-exchange schedule on a real machine.
 #pragma once
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -43,14 +42,14 @@ class MatchingScheduleRunner {
   /// Executes `rounds` matching rounds.
   void run(std::size_t rounds);
 
-  [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
-  [[nodiscard]] core::Reducer& node(NodeId i) { return nodes_.at(i); }
-  [[nodiscard]] const core::Reducer& node(NodeId i) const { return nodes_.at(i); }
+  [[nodiscard]] std::size_t size() const noexcept { return fleet_.size(); }
+  /// Every node's protocol state, by node id.
+  [[nodiscard]] const core::ArenaFleet& fleet() const noexcept { return fleet_; }
+  [[nodiscard]] core::ArenaFleet& fleet() noexcept { return fleet_; }
   [[nodiscard]] std::vector<double> estimates(std::size_t k = 0) const;
 
  private:
-  std::unique_ptr<core::ArenaFleet> fleet_;  // stable address: nodes_ point into it
-  std::vector<core::ArenaReducer> nodes_;    // one facade per node
+  core::ArenaFleet fleet_;
   std::vector<Matching> matchings_;
   std::size_t round_ = 0;
 };

@@ -65,7 +65,7 @@ SessionQueryResult ReductionSession::run_to_target(std::size_t dropped, std::siz
                           std::vector<double>(d, std::numeric_limits<double>::quiet_NaN()));
   for (net::NodeId i = 0; i < engine_.size(); ++i) {
     if (!engine_.node_alive(i)) continue;
-    for (std::size_t k = 0; k < d; ++k) result.estimates[i][k] = engine_.node(i).estimate(k);
+    for (std::size_t k = 0; k < d; ++k) result.estimates[i][k] = engine_.fleet().estimate(i, k);
   }
   return result;
 }

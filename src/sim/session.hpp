@@ -82,7 +82,7 @@ class ReductionSession {
   void fail_link(net::NodeId a, net::NodeId b);
 
   /// Heals a previously failed link in the live session; the algorithms
-  /// re-admit the neighbor (Reducer::on_link_up) and re-converge warm.
+  /// re-admit the neighbor (ArenaFleet::on_link_up) and re-converge warm.
   void heal_link(net::NodeId a, net::NodeId b);
 
   [[nodiscard]] std::size_t total_rounds() const noexcept { return engine_.round(); }

@@ -1,6 +1,8 @@
 #include "sim/statistics.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/extrema.hpp"
 #include "support/check.hpp"
@@ -72,48 +74,46 @@ std::vector<std::pair<double, double>> distributed_extrema(const net::Topology& 
                                                            std::span<const double> values,
                                                            const SummaryOptions& options) {
   PCF_CHECK_MSG(values.size() == topology.size(), "one value per node required");
-  std::vector<std::unique_ptr<core::Reducer>> nodes;
-  nodes.reserve(topology.size());
+  // Extrema spread only within a connected component; a disconnected graph
+  // would silently report per-component extrema.
+  const auto dist = topology.bfs_distances(0);
+  std::size_t ecc = 0;
+  for (const std::size_t d : dist) {
+    PCF_CHECK_MSG(d != std::numeric_limits<std::size_t>::max(),
+                  "extrema gossip needs a connected topology");
+    ecc = std::max(ecc, d);
+  }
+  std::vector<core::ExtremaGossip> nodes(topology.size());
   const Rng base(options.seed ^ 0xe87e5aULL);
   std::vector<Rng> rngs;
   for (net::NodeId i = 0; i < topology.size(); ++i) {
-    nodes.push_back(std::make_unique<core::ExtremaGossip>(core::ReducerConfig{}));
-    nodes.back()->init(i, topology.neighbors(i), core::Mass::scalar(values[i], 1.0));
+    nodes[i].init(topology.neighbors(i), core::Mass::scalar(values[i], 1.0));
     rngs.push_back(base.fork(i));
   }
   std::size_t rounds = options.extrema_rounds;
   if (rounds == 0) {
     // Push-only extrema spread like a rumor: O(diameter + log n) rounds in
     // expectation; the 4x margin makes non-completion astronomically rare.
+    // Diameter is expensive on big graphs; the BFS eccentricity from node 0
+    // is a 2-approximation and cheap.
     const double n = static_cast<double>(topology.size());
-    rounds = 4 * (topology.bfs_distances(0).size() > 0
-                      ? static_cast<std::size_t>(std::log2(n) + 1)
-                      : 1);
-    // Diameter is expensive on big graphs; a BFS eccentricity from node 0 is
-    // a 2-approximation and cheap.
-    const auto dist = topology.bfs_distances(0);
-    std::size_t ecc = 0;
-    for (std::size_t d : dist) ecc = std::max(ecc, d);
-    rounds += 4 * ecc;
+    rounds = 4 * static_cast<std::size_t>(std::log2(n) + 1) + 4 * ecc;
   }
   Rng loss_rng(options.seed ^ 0x10575);
   for (std::size_t r = 0; r < rounds; ++r) {
     for (net::NodeId i = 0; i < topology.size(); ++i) {
-      auto out = nodes[i]->make_message(rngs[i]);
+      auto out = nodes[i].make_message(rngs[i]);
       if (!out) continue;
       if (options.faults.message_loss_prob > 0.0 &&
           loss_rng.chance(options.faults.message_loss_prob)) {
         continue;  // idempotent state: loss only delays
       }
-      nodes[out->to]->on_receive(i, out->packet);
+      nodes[out->to].on_receive(i, out->packet);
     }
   }
   std::vector<std::pair<double, double>> result;
   result.reserve(topology.size());
-  for (const auto& node : nodes) {
-    const auto& gossip = dynamic_cast<const core::ExtremaGossip&>(*node);
-    result.emplace_back(gossip.current_min(), gossip.current_max());
-  }
+  for (const auto& node : nodes) result.emplace_back(node.current_min(), node.current_max());
   return result;
 }
 

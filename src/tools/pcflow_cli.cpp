@@ -435,8 +435,12 @@ int run_cli(int argc, const char* const* argv) {
   const auto aggregate = scenario.aggregate;
 
   sim::SyncEngine engine(topology, scenario.masses, scenario.config);
+  std::string algorithm(core::to_string(scenario.config.algorithm));
+  if (scenario.config.algorithm == core::Algorithm::kPushCancelFlow) {
+    algorithm += "/" + std::string(core::to_string(scenario.config.reducer.pcf_variant));
+  }
   std::printf("pcflow: %s on %s (%zu nodes, %zu links), %s aggregate, seed %lld\n",
-              std::string(engine.node(0).name()).c_str(), topology.name().c_str(),
+              algorithm.c_str(), topology.name().c_str(),
               topology.size(), topology.edge_count(), std::string(to_string(aggregate)).c_str(),
               static_cast<long long>(flags.get_int("seed")));
   std::printf("target aggregate: %.17g\n\n", engine.oracle().target());
@@ -483,7 +487,7 @@ int run_cli(int argc, const char* const* argv) {
     std::printf("\n");
     for (net::NodeId i = 0; i < topology.size(); ++i) {
       if (engine.node_alive(i)) {
-        std::printf("node %4u: %.17g\n", i, engine.node(i).estimate());
+        std::printf("node %4u: %.17g\n", i, engine.fleet().estimate(i));
       } else {
         std::printf("node %4u: (crashed)\n", i);
       }

@@ -84,66 +84,58 @@ std::vector<Mass> bus3_masses() {
 
 TEST(CorrectionAllreduce, MassNeverMoves) {
   const auto t = net::Topology::bus(3);
-  test::TestFleet fleet(Algorithm::kCorrectionAllreduce, t, bus3_masses(), config_for(t));
-  Reducer& a = fleet[0];
-  Reducer& b = fleet[1];
-  const auto msg = b.make_message_to(0);
+  ArenaFleet fleet(Algorithm::kCorrectionAllreduce, config_for(t), t, bus3_masses());
+  const auto msg = fleet.make_message_to(1, 0);
   ASSERT_TRUE(msg.has_value());
-  a.on_receive(1, msg->packet);
-  EXPECT_EQ(a.local_mass(), Mass::scalar(6.0, 1.0));
-  EXPECT_EQ(b.local_mass(), Mass::scalar(3.0, 1.0));
+  fleet.receive(0, 1, msg->packet);
+  EXPECT_EQ(fleet.local_mass(0), Mass::scalar(6.0, 1.0));
+  EXPECT_EQ(fleet.local_mass(1), Mass::scalar(3.0, 1.0));
   // Crashed senders therefore strand no in-flight mass.
-  EXPECT_EQ(a.unreceived_mass(1, msg->packet), Mass::zero(1));
+  EXPECT_EQ(fleet.unreceived_mass(0, 1, msg->packet), Mass::zero(1));
 }
 
 TEST(CorrectionAllreduce, ChildClaimsDriveSubtreeSums) {
   // Explicit chain 0 <- 1 <- 2 (auto would pick the star rooted at the hub 1).
   const auto t = net::Topology::bus(3);
-  test::TestFleet fleet(Algorithm::kCorrectionAllreduce, t, bus3_masses(),
-                        config_for(t, net::TreeKind::kChain));
-  Reducer& root = fleet[0];
-  Reducer& mid = fleet[1];
-  Reducer& leaf = fleet[2];
+  ArenaFleet fleet(Algorithm::kCorrectionAllreduce, config_for(t, net::TreeKind::kChain), t,
+                   bus3_masses());
 
   // Leaf reports its subtree (itself) upward; mid folds it in.
-  const auto up1 = leaf.make_message_to(1);
+  const auto up1 = fleet.make_message_to(2, 1);
   ASSERT_TRUE(up1.has_value());
   EXPECT_EQ(up1->packet.role_count, 2u);  // claims parent id 1
-  mid.on_receive(2, up1->packet);
-  const auto up2 = mid.make_message_to(0);
+  fleet.receive(1, 2, up1->packet);
+  const auto up2 = fleet.make_message_to(1, 0);
   ASSERT_TRUE(up2.has_value());
   EXPECT_EQ(up2->packet.a, Mass::scalar(12.0, 2.0));  // 3+9, both weights
 
   // Root folds mid's report: its subtree sum IS the global aggregate.
-  root.on_receive(1, up2->packet);
-  EXPECT_DOUBLE_EQ(root.estimate(), 18.0 / 3.0);
+  fleet.receive(0, 1, up2->packet);
+  EXPECT_DOUBLE_EQ(fleet.estimate(0), 18.0 / 3.0);
 
   // The root's packet publishes the global view (active_slot == 2)...
-  const auto down = root.make_message_to(1);
+  const auto down = fleet.make_message_to(0, 1);
   ASSERT_TRUE(down.has_value());
   EXPECT_EQ(down->packet.active_slot, 2);
   EXPECT_EQ(down->packet.role_count, 0u);  // the root claims no parent
   // ...which the child adopts as its estimate.
-  mid.on_receive(0, down->packet);
-  EXPECT_DOUBLE_EQ(mid.estimate(), 18.0 / 3.0);
+  fleet.receive(1, 0, down->packet);
+  EXPECT_DOUBLE_EQ(fleet.estimate(1), 18.0 / 3.0);
 }
 
 TEST(CorrectionAllreduce, RetransmissionIsIdempotent) {
   // Two copies of the mid node, so two fleets; the first fleet's leaf drives
   // both.
   const auto t = net::Topology::bus(3);
-  test::TestFleet one(Algorithm::kCorrectionAllreduce, t, bus3_masses(), config_for(t));
-  test::TestFleet two(Algorithm::kCorrectionAllreduce, t, bus3_masses(), config_for(t));
-  Reducer& mid1 = one[1];
-  Reducer& mid2 = two[1];
-  Reducer& leaf = one[2];
-  const auto report = leaf.make_message_to(1);
+  ArenaFleet one(Algorithm::kCorrectionAllreduce, config_for(t), t, bus3_masses());
+  ArenaFleet two(Algorithm::kCorrectionAllreduce, config_for(t), t, bus3_masses());
+  const auto report = one.make_message_to(2, 1);
   ASSERT_TRUE(report.has_value());
-  mid1.on_receive(2, report->packet);
-  mid1.on_receive(2, report->packet);  // duplicate
-  mid2.on_receive(2, report->packet);
-  const auto m1 = mid1.make_message_to(0);
-  const auto m2 = mid2.make_message_to(0);
+  one.receive(1, 2, report->packet);
+  one.receive(1, 2, report->packet);  // duplicate
+  two.receive(1, 2, report->packet);
+  const auto m1 = one.make_message_to(1, 0);
+  const auto m2 = two.make_message_to(1, 0);
   ASSERT_TRUE(m1.has_value() && m2.has_value());
   EXPECT_EQ(m1->packet.a, m2->packet.a);  // absolute reports: duplicates are no-ops
 }
@@ -156,45 +148,42 @@ TEST(CorrectionAllreduce, ReattachesToNextUpwardNeighborOnParentLoss) {
   const auto cfg = config_for(t);
   ASSERT_EQ(cfg.tree->kind, net::TreeKind::kChain);
   const std::vector<Mass> masses(6, Mass::scalar(1.0, 1.0));
-  test::TestFleet fleet(Algorithm::kCorrectionAllreduce, t, masses, cfg);
-  Reducer& n5 = fleet[5];
-  const auto parent = [&] { return fleet.fleet().correction_parent(5); };
+  ArenaFleet fleet(Algorithm::kCorrectionAllreduce, cfg, t, masses);
+  const auto parent = [&] { return fleet.correction_parent(5); };
   ASSERT_TRUE(parent().has_value());
   EXPECT_EQ(*parent(), 0u);
 
-  n5.on_link_down(0);
+  fleet.on_link_down(5, 0);
   ASSERT_TRUE(parent().has_value());
   EXPECT_EQ(*parent(), 4u);  // correction round: re-attach upward
 
   // With no upward neighbor left the node becomes a fragment root and
   // honestly reports its fragment's aggregate — here just itself.
-  n5.on_link_down(4);
+  fleet.on_link_down(5, 4);
   EXPECT_FALSE(parent().has_value());
-  EXPECT_DOUBLE_EQ(n5.estimate(), 1.0);
+  EXPECT_DOUBLE_EQ(fleet.estimate(5), 1.0);
 
   // Healing restores the static attachment.
-  n5.on_link_up(0);
+  fleet.on_link_up(5, 0);
   ASSERT_TRUE(parent().has_value());
   EXPECT_EQ(*parent(), 0u);
 }
 
 TEST(CorrectionAllreduce, LinkDownDiscardsChildReportAndGlobalView) {
   const auto t = net::Topology::bus(3);
-  test::TestFleet fleet(Algorithm::kCorrectionAllreduce, t, bus3_masses(),
-                        config_for(t, net::TreeKind::kChain));
-  Reducer& mid = fleet[1];
-  Reducer& leaf = fleet[2];
-  const auto report = leaf.make_message_to(1);
+  ArenaFleet fleet(Algorithm::kCorrectionAllreduce, config_for(t, net::TreeKind::kChain), t,
+                   bus3_masses());
+  const auto report = fleet.make_message_to(2, 1);
   ASSERT_TRUE(report.has_value());
-  mid.on_receive(2, report->packet);
+  fleet.receive(1, 2, report->packet);
   {
-    const auto up = mid.make_message_to(0);
+    const auto up = fleet.make_message_to(1, 0);
     ASSERT_TRUE(up.has_value());
     EXPECT_EQ(up->packet.a, Mass::scalar(12.0, 2.0));
   }
-  mid.on_link_down(2);
+  fleet.on_link_down(1, 2);
   {
-    const auto up = mid.make_message_to(0);
+    const auto up = fleet.make_message_to(1, 0);
     ASSERT_TRUE(up.has_value());
     EXPECT_EQ(up->packet.a, Mass::scalar(3.0, 1.0));  // stale report dropped
   }
@@ -205,10 +194,10 @@ TEST(CorrectionAllreduce, LinkDownDiscardsChildReportAndGlobalView) {
   global.b = Mass::scalar(18.0, 3.0);
   global.active_slot = 2;
   global.role_count = 0;
-  mid.on_receive(0, global);
-  EXPECT_DOUBLE_EQ(mid.estimate(), 6.0);
-  mid.on_link_down(0);
-  EXPECT_DOUBLE_EQ(mid.estimate(), 3.0);
+  fleet.receive(1, 0, global);
+  EXPECT_DOUBLE_EQ(fleet.estimate(1), 6.0);
+  fleet.on_link_down(1, 0);
+  EXPECT_DOUBLE_EQ(fleet.estimate(1), 3.0);
 }
 
 TEST(CorrectionAllreduce, SurvivesLeafCrashInEngine) {

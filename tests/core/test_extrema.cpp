@@ -9,9 +9,9 @@ namespace pcf::core {
 namespace {
 
 TEST(ExtremaGossip, InitSeedsBothExtrema) {
-  ExtremaGossip node{{}};
+  ExtremaGossip node;
   const std::vector<NodeId> nb{1};
-  node.init(0, nb, Mass::scalar(4.5, 1.0));
+  node.init(nb, Mass::scalar(4.5, 1.0));
   EXPECT_EQ(node.current_min(), 4.5);
   EXPECT_EQ(node.current_max(), 4.5);
   EXPECT_EQ(node.estimate(0), 4.5);
@@ -19,15 +19,15 @@ TEST(ExtremaGossip, InitSeedsBothExtrema) {
 }
 
 TEST(ExtremaGossip, RejectsVectorSample) {
-  ExtremaGossip node{{}};
+  ExtremaGossip node;
   const std::vector<NodeId> nb{1};
-  EXPECT_THROW(node.init(0, nb, Mass(Values{1.0, 2.0}, 1.0)), ContractViolation);
+  EXPECT_THROW(node.init(nb, Mass(Values{1.0, 2.0}, 1.0)), ContractViolation);
 }
 
 TEST(ExtremaGossip, MergeIsMonotone) {
-  ExtremaGossip node{{}};
+  ExtremaGossip node;
   const std::vector<NodeId> nb{1};
-  node.init(0, nb, Mass::scalar(5.0, 1.0));
+  node.init(nb, Mass::scalar(5.0, 1.0));
   Packet p;
   p.a = Mass(Values{2.0, 9.0}, 1.0);
   node.on_receive(1, p);
@@ -41,9 +41,9 @@ TEST(ExtremaGossip, MergeIsMonotone) {
 }
 
 TEST(ExtremaGossip, DuplicateDeliveryIsIdempotent) {
-  ExtremaGossip node{{}};
+  ExtremaGossip node;
   const std::vector<NodeId> nb{1};
-  node.init(0, nb, Mass::scalar(5.0, 1.0));
+  node.init(nb, Mass::scalar(5.0, 1.0));
   Packet p;
   p.a = Mass(Values{1.0, 7.0}, 1.0);
   node.on_receive(1, p);
@@ -55,9 +55,9 @@ TEST(ExtremaGossip, DuplicateDeliveryIsIdempotent) {
 }
 
 TEST(ExtremaGossip, CorruptedDimensionIgnored) {
-  ExtremaGossip node{{}};
+  ExtremaGossip node;
   const std::vector<NodeId> nb{1};
-  node.init(0, nb, Mass::scalar(5.0, 1.0));
+  node.init(nb, Mass::scalar(5.0, 1.0));
   Packet p;
   p.a = Mass::scalar(-100.0, 1.0);  // dim 1 instead of 2
   node.on_receive(1, p);
@@ -65,19 +65,19 @@ TEST(ExtremaGossip, CorruptedDimensionIgnored) {
 }
 
 TEST(ExtremaGossip, UpdateDataMergesNewSample) {
-  ExtremaGossip node{{}};
+  ExtremaGossip node;
   const std::vector<NodeId> nb{1};
-  node.init(0, nb, Mass::scalar(5.0, 1.0));
+  node.init(nb, Mass::scalar(5.0, 1.0));
   node.update_data(Mass::scalar(1.5, 0.0));
   EXPECT_EQ(node.current_min(), 1.5);
   EXPECT_EQ(node.current_max(), 5.0);
 }
 
 TEST(ExtremaGossip, MessageCarriesCurrentRange) {
-  ExtremaGossip a{{}}, b{{}};
+  ExtremaGossip a, b;
   const std::vector<NodeId> na{1}, nb{0};
-  a.init(0, na, Mass::scalar(3.0, 1.0));
-  b.init(1, nb, Mass::scalar(8.0, 1.0));
+  a.init(na, Mass::scalar(3.0, 1.0));
+  b.init(nb, Mass::scalar(8.0, 1.0));
   b.on_receive(0, a.make_message_to(1)->packet);
   EXPECT_EQ(b.current_min(), 3.0);
   EXPECT_EQ(b.current_max(), 8.0);

@@ -68,45 +68,40 @@ std::vector<Mass> pair_masses(double a, double b) {
 TEST(FlowUpdating, RetransmissionIsIdempotent) {
   // Two copies of the receiver, so two fleets; the first fleet's sender
   // drives both.
-  test::TestFleet one(Algorithm::kFlowUpdating, net::Topology::bus(2), pair_masses(6.0, 0.0));
-  test::TestFleet two(Algorithm::kFlowUpdating, net::Topology::bus(2), pair_masses(6.0, 0.0));
-  Reducer& a = one[0];
-  Reducer& b1 = one[1];
-  Reducer& b2 = two[1];
-  const auto first = a.make_message_to(1);
-  const auto second = a.make_message_to(1);
-  b1.on_receive(0, first->packet);
-  b1.on_receive(0, second->packet);
-  b2.on_receive(0, second->packet);
-  EXPECT_EQ(b1.local_mass(), b2.local_mass());
-  EXPECT_DOUBLE_EQ(b1.estimate(), b2.estimate());
+  ArenaFleet one(Algorithm::kFlowUpdating, {}, net::Topology::bus(2), pair_masses(6.0, 0.0));
+  ArenaFleet two(Algorithm::kFlowUpdating, {}, net::Topology::bus(2), pair_masses(6.0, 0.0));
+  const auto first = one.make_message_to(0, 1);
+  const auto second = one.make_message_to(0, 1);
+  one.receive(1, 0, first->packet);
+  one.receive(1, 0, second->packet);
+  two.receive(1, 0, second->packet);
+  EXPECT_EQ(one.local_mass(1), two.local_mass(1));
+  EXPECT_DOUBLE_EQ(one.estimate(1), two.estimate(1));
 }
 
 TEST(FlowUpdating, FusedEstimateUsesNeighborReports) {
-  test::TestFleet fleet(Algorithm::kFlowUpdating, net::Topology::bus(2), pair_masses(6.0, 0.0));
-  Reducer& a = fleet[0];
-  EXPECT_DOUBLE_EQ(a.estimate(), 6.0);  // no reports yet: own mass only
+  ArenaFleet fleet(Algorithm::kFlowUpdating, {}, net::Topology::bus(2), pair_masses(6.0, 0.0));
+  EXPECT_DOUBLE_EQ(fleet.estimate(0), 6.0);  // no reports yet: own mass only
   Packet p;
   p.a = Mass::zero(1);               // no flow
   p.b = Mass::scalar(2.0, 1.0);      // neighbor reports estimate 2
-  a.on_receive(1, p);
-  EXPECT_DOUBLE_EQ(a.estimate(), 4.0);  // (6 + 2) / 2
+  fleet.receive(0, 1, p);
+  EXPECT_DOUBLE_EQ(fleet.estimate(0), 4.0);  // (6 + 2) / 2
 }
 
 TEST(FlowUpdating, LinkDownDiscardsNeighborState) {
   // Node 0 is the hub of a 3-star: neighbors {1, 2}.
   const std::vector<Mass> masses{Mass::scalar(6.0, 1.0), Mass::scalar(1.0, 1.0),
                                  Mass::scalar(1.0, 1.0)};
-  test::TestFleet fleet(Algorithm::kFlowUpdating, net::Topology::star(3), masses);
-  Reducer& a = fleet[0];
+  ArenaFleet fleet(Algorithm::kFlowUpdating, {}, net::Topology::star(3), masses);
   Packet p;
   p.a = Mass::scalar(1.0, 0.0);
   p.b = Mass::scalar(2.0, 1.0);
-  a.on_receive(1, p);
-  a.on_link_down(1);
+  fleet.receive(0, 1, p);
+  fleet.on_link_down(0, 1);
   // Flow and estimate from node 1 are gone: mass back to the initial value.
-  EXPECT_DOUBLE_EQ(a.local_mass().s[0], 6.0);
-  EXPECT_DOUBLE_EQ(a.estimate(), 6.0);
+  EXPECT_DOUBLE_EQ(fleet.local_mass(0).s[0], 6.0);
+  EXPECT_DOUBLE_EQ(fleet.estimate(0), 6.0);
 }
 
 }  // namespace

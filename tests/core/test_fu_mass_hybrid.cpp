@@ -68,78 +68,70 @@ std::vector<Mass> pair_masses(double a, double b) {
 TEST(FuMassHybrid, PairwiseStepHalvesTheReportedGap) {
   // MD's two-node step through FU's flow bookkeeping: once a knows b's mass,
   // a single exchange equalizes both at the pairwise average.
-  test::TestFleet fleet(Algorithm::kFuMassHybrid, net::Topology::bus(2), pair_masses(6.0, 0.0));
-  Reducer& a = fleet[0];
-  Reducer& b = fleet[1];
+  ArenaFleet fleet(Algorithm::kFuMassHybrid, {}, net::Topology::bus(2), pair_masses(6.0, 0.0));
   // b reports first (no halving yet: no report of a's mass held).
-  const auto hello = b.make_message_to(0);
+  const auto hello = fleet.make_message_to(1, 0);
   ASSERT_TRUE(hello.has_value());
-  a.on_receive(1, hello->packet);
-  EXPECT_DOUBLE_EQ(a.local_mass().s[0], 6.0);
+  fleet.receive(0, 1, hello->packet);
+  EXPECT_DOUBLE_EQ(fleet.local_mass(0).s[0], 6.0);
   // a now halves the gap: Δ = (6 − 0) / 2 = 3 moves through the edge flow.
-  const auto step = a.make_message_to(1);
+  const auto step = fleet.make_message_to(0, 1);
   ASSERT_TRUE(step.has_value());
-  EXPECT_DOUBLE_EQ(a.local_mass().s[0], 3.0);
-  b.on_receive(0, step->packet);
-  EXPECT_DOUBLE_EQ(b.local_mass().s[0], 3.0);
+  EXPECT_DOUBLE_EQ(fleet.local_mass(0).s[0], 3.0);
+  fleet.receive(1, 0, step->packet);
+  EXPECT_DOUBLE_EQ(fleet.local_mass(1).s[0], 3.0);
   // No mass was created or destroyed on the way.
-  EXPECT_DOUBLE_EQ(a.local_mass().s[0] + b.local_mass().s[0], 6.0);
+  EXPECT_DOUBLE_EQ(fleet.local_mass(0).s[0] + fleet.local_mass(1).s[0], 6.0);
 }
 
 TEST(FuMassHybrid, RetransmissionIsIdempotent) {
   // Two copies of the receiver, so two fleets; the first fleet's sender
   // drives both.
-  test::TestFleet one(Algorithm::kFuMassHybrid, net::Topology::bus(2), pair_masses(6.0, 0.0));
-  test::TestFleet two(Algorithm::kFuMassHybrid, net::Topology::bus(2), pair_masses(6.0, 0.0));
-  Reducer& a = one[0];
-  Reducer& b1 = one[1];
-  Reducer& b2 = two[1];
-  const auto first = a.make_message_to(1);
-  const auto second = a.make_message_to(1);
+  ArenaFleet one(Algorithm::kFuMassHybrid, {}, net::Topology::bus(2), pair_masses(6.0, 0.0));
+  ArenaFleet two(Algorithm::kFuMassHybrid, {}, net::Topology::bus(2), pair_masses(6.0, 0.0));
+  const auto first = one.make_message_to(0, 1);
+  const auto second = one.make_message_to(0, 1);
   ASSERT_TRUE(first.has_value() && second.has_value());
-  b1.on_receive(0, first->packet);
-  b1.on_receive(0, second->packet);
-  b2.on_receive(0, second->packet);
+  one.receive(1, 0, first->packet);
+  one.receive(1, 0, second->packet);
+  two.receive(1, 0, second->packet);
   // Absolute flows: the duplicate delivery changes nothing.
-  EXPECT_EQ(b1.local_mass(), b2.local_mass());
-  EXPECT_DOUBLE_EQ(b1.estimate(), b2.estimate());
+  EXPECT_EQ(one.local_mass(1), two.local_mass(1));
+  EXPECT_DOUBLE_EQ(one.estimate(1), two.estimate(1));
 }
 
 TEST(FuMassHybrid, LinkDownRestoresMovedMass) {
   // Node 0 is the hub of a 3-star: neighbors {1, 2}.
   const std::vector<Mass> masses{Mass::scalar(6.0, 1.0), Mass::scalar(1.0, 1.0),
                                  Mass::scalar(1.0, 1.0)};
-  test::TestFleet fleet(Algorithm::kFuMassHybrid, net::Topology::star(3), masses);
-  Reducer& a = fleet[0];
+  ArenaFleet fleet(Algorithm::kFuMassHybrid, {}, net::Topology::star(3), masses);
   Packet p;
   p.a = Mass::zero(1);
   p.b = Mass::scalar(0.0, 1.0);  // neighbor 1 reports zero mass
-  a.on_receive(1, p);
-  const auto step = a.make_message_to(1);
+  fleet.receive(0, 1, p);
+  const auto step = fleet.make_message_to(0, 1);
   ASSERT_TRUE(step.has_value());
-  EXPECT_DOUBLE_EQ(a.local_mass().s[0], 3.0);  // half the gap moved out
-  a.on_link_down(1);
+  EXPECT_DOUBLE_EQ(fleet.local_mass(0).s[0], 3.0);  // half the gap moved out
+  fleet.on_link_down(0, 1);
   // The excluded edge's flow is forgotten: the moved mass folds back.
-  EXPECT_DOUBLE_EQ(a.local_mass().s[0], 6.0);
-  EXPECT_DOUBLE_EQ(a.estimate(), 6.0);
+  EXPECT_DOUBLE_EQ(fleet.local_mass(0).s[0], 6.0);
+  EXPECT_DOUBLE_EQ(fleet.estimate(0), 6.0);
 }
 
 TEST(FuMassHybrid, StaleReportStillConservesMass) {
   // The paper's point: halving against a stale report is a worse step but a
   // SAFE one — the flow discipline conserves Σ m regardless.
-  test::TestFleet fleet(Algorithm::kFuMassHybrid, net::Topology::bus(2), pair_masses(8.0, 2.0));
-  Reducer& a = fleet[0];
-  Reducer& b = fleet[1];
-  const auto hello = b.make_message_to(0);
+  ArenaFleet fleet(Algorithm::kFuMassHybrid, {}, net::Topology::bus(2), pair_masses(8.0, 2.0));
+  const auto hello = fleet.make_message_to(1, 0);
   ASSERT_TRUE(hello.has_value());
-  a.on_receive(1, hello->packet);
+  fleet.receive(0, 1, hello->packet);
   // Two sends from a against the SAME report of b (b never answers): the
   // second halving uses stale data, yet a + b stays 10 after each delivery.
   for (int i = 0; i < 2; ++i) {
-    const auto step = a.make_message_to(1);
+    const auto step = fleet.make_message_to(0, 1);
     ASSERT_TRUE(step.has_value());
-    b.on_receive(0, step->packet);
-    EXPECT_NEAR(a.local_mass().s[0] + b.local_mass().s[0], 10.0, 1e-12);
+    fleet.receive(1, 0, step->packet);
+    EXPECT_NEAR(fleet.local_mass(0).s[0] + fleet.local_mass(1).s[0], 10.0, 1e-12);
   }
 }
 

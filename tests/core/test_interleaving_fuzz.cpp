@@ -22,30 +22,26 @@ namespace {
 const std::vector<Mass> kTwoNodeMasses{Mass::scalar(3.0, 1.0), Mass::scalar(1.0, 1.0)};
 
 struct TwoNodeHarness {
-  test::TestFleet fleet;
-  Reducer* a;
-  Reducer* b;
+  ArenaFleet fleet;
   std::deque<Packet> ab;
   std::deque<Packet> ba;
 
   TwoNodeHarness(Algorithm algorithm, const ReducerConfig& config)
-      : fleet(algorithm, net::Topology::bus(2), kTwoNodeMasses, config),
-        a(&fleet[0]),
-        b(&fleet[1]) {}
+      : fleet(algorithm, config, net::Topology::bus(2), kTwoNodeMasses) {}
 
   void op(int kind) {
     switch (kind) {
-      case 0: ab.push_back(a->make_message_to(1)->packet); break;
-      case 1: ba.push_back(b->make_message_to(0)->packet); break;
+      case 0: ab.push_back(fleet.make_message_to(0, 1)->packet); break;
+      case 1: ba.push_back(fleet.make_message_to(1, 0)->packet); break;
       case 2:
         if (!ab.empty()) {
-          b->on_receive(0, ab.front());
+          fleet.receive(1, 0, ab.front());
           ab.pop_front();
         }
         break;
       case 3:
         if (!ba.empty()) {
-          a->on_receive(1, ba.front());
+          fleet.receive(0, 1, ba.front());
           ba.pop_front();
         }
         break;
@@ -53,15 +49,15 @@ struct TwoNodeHarness {
         // Adversarial duplication: the head packet is delivered twice
         // back-to-back (a retransmitting transport).
         if (!ab.empty()) {
-          b->on_receive(0, ab.front());
-          b->on_receive(0, ab.front());
+          fleet.receive(1, 0, ab.front());
+          fleet.receive(1, 0, ab.front());
           ab.pop_front();
         }
         break;
       case 7:
         if (!ba.empty()) {
-          a->on_receive(1, ba.front());
-          a->on_receive(1, ba.front());
+          fleet.receive(0, 1, ba.front());
+          fleet.receive(0, 1, ba.front());
           ba.pop_front();
         }
         break;
@@ -83,12 +79,12 @@ struct TwoNodeHarness {
     while (!ab.empty()) op(2);
     while (!ba.empty()) op(3);
     for (int r = 0; r < 10; ++r) {
-      b->on_receive(0, a->make_message_to(1)->packet);
-      a->on_receive(1, b->make_message_to(0)->packet);
+      fleet.receive(1, 0, fleet.make_message_to(0, 1)->packet);
+      fleet.receive(0, 1, fleet.make_message_to(1, 0)->packet);
     }
   }
 
-  [[nodiscard]] Mass total() const { return a->local_mass() + b->local_mass(); }
+  [[nodiscard]] Mass total() const { return fleet.local_mass(0) + fleet.local_mass(1); }
 };
 
 class InterleavingFuzz : public ::testing::TestWithParam<Algorithm> {};
@@ -185,16 +181,16 @@ TEST(InterleavingFuzzThreeNodes, PcfConservesOnLineUnderInterleaving) {
   for (int trial = 0; trial < 1500; ++trial) {
     const std::vector<Mass> masses{Mass::scalar(5.0, 1.0), Mass::scalar(-1.0, 1.0),
                                    Mass::scalar(2.0, 1.0)};
-    test::TestFleet nodes(Algorithm::kPushCancelFlow, net::Topology::bus(3), masses);
+    ArenaFleet nodes(Algorithm::kPushCancelFlow, {}, net::Topology::bus(3), masses);
     // One FIFO queue per directed edge.
     std::map<std::pair<NodeId, NodeId>, std::deque<Packet>> wires;
     auto send = [&](NodeId from, NodeId to) {
-      if (auto out = nodes[from].make_message_to(to)) wires[{from, to}].push_back(out->packet);
+      if (auto out = nodes.make_message_to(from, to)) wires[{from, to}].push_back(out->packet);
     };
     auto deliver = [&](NodeId from, NodeId to) {
       auto& q = wires[{from, to}];
       if (!q.empty()) {
-        nodes[to].on_receive(from, q.front());
+        nodes.receive(to, from, q.front());
         q.pop_front();
       }
     };
@@ -216,9 +212,9 @@ TEST(InterleavingFuzzThreeNodes, PcfConservesOnLineUnderInterleaving) {
         deliver(x, y);
       }
     }
-    Mass total = nodes[0].local_mass();
-    total += nodes[1].local_mass();
-    total += nodes[2].local_mass();
+    Mass total = nodes.local_mass(0);
+    total += nodes.local_mass(1);
+    total += nodes.local_mass(2);
     ASSERT_NEAR(total.s[0], 6.0, 1e-9) << "trial " << trial;
     ASSERT_NEAR(total.w, 3.0, 1e-9) << "trial " << trial;
   }

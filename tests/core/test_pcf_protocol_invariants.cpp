@@ -72,7 +72,7 @@ TEST_P(PcfProtocolInvariants, BilateralStateStaysCoherent) {
       if (ends.initiator.role_count % 2 == 1 &&
           ends.initiator.role_count == ends.completer.role_count + 1) {
         std::array<Mass, 2> slots;
-        ASSERT_EQ(engine.node(std::min(a, b)).flows_toward(std::max(a, b), slots), 2u);
+        ASSERT_EQ(engine.fleet().flows_toward(std::min(a, b), std::max(a, b), slots), 2u);
         const Mass& passive = slots[ends.initiator.active_slot == 1 ? 1 : 0];
         ASSERT_TRUE(passive.is_zero()) << "edge " << a << "-" << b << " round " << round;
       }

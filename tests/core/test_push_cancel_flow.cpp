@@ -72,11 +72,11 @@ TEST_P(PcfBothVariants, RolesKeepSwapping) {
   auto engine = make_engine(t, Algorithm::kPushCancelFlow, Aggregate::kAverage, 5, {}, config());
   engine.run(200);
   std::uint64_t swaps_early = 0;
-  for (NodeId i = 0; i < t.size(); ++i) swaps_early += engine.node(i).role_swaps();
+  for (NodeId i = 0; i < t.size(); ++i) swaps_early += engine.fleet().role_swaps(i);
   EXPECT_GT(swaps_early, 100u);
   engine.run(200);
   std::uint64_t swaps_late = 0;
-  for (NodeId i = 0; i < t.size(); ++i) swaps_late += engine.node(i).role_swaps();
+  for (NodeId i = 0; i < t.size(); ++i) swaps_late += engine.fleet().role_swaps(i);
   EXPECT_GT(swaps_late, swaps_early + 100);  // still swapping after convergence
 }
 
@@ -170,7 +170,7 @@ TEST(PushCancelFlow, EquivalentToPushFlowUntilFirstFailure) {
     pf.step();
     pcf.step();
     for (NodeId i = 0; i < t.size(); ++i) {
-      EXPECT_NEAR(pf.node(i).estimate(), pcf.node(i).estimate(), 1e-9)
+      EXPECT_NEAR(pf.fleet().estimate(i), pcf.fleet().estimate(i), 1e-9)
           << "round " << round << " node " << i;
     }
   }
@@ -182,34 +182,31 @@ TEST(PushCancelFlow, CancellationZeroesPassiveFlowPair) {
   // the settled state — agreeing roles with both passive slots exactly zero —
   // which must recur within a few exchanges.
   const std::vector<Mass> masses{Mass::scalar(6.0, 1.0), Mass::scalar(2.0, 1.0)};
-  test::TestFleet fleet(Algorithm::kPushCancelFlow, net::Topology::bus(2), masses,
-                        robust_config());
-  Reducer& a = fleet[0];
-  Reducer& b = fleet[1];
+  ArenaFleet fleet(Algorithm::kPushCancelFlow, robust_config(), net::Topology::bus(2), masses);
   bool settled_state_seen = false;
   auto check_settled = [&] {
-    const auto ea = fleet.fleet().pcf_edge_state(0, 1);
-    const auto eb = fleet.fleet().pcf_edge_state(1, 0);
+    const auto ea = fleet.pcf_edge_state(0, 1);
+    const auto eb = fleet.pcf_edge_state(1, 0);
     if (ea.active_slot != eb.active_slot) return;
     std::array<Mass, 2> fa, fb;  // slot order: fa[s] pairs with fb[s]
-    ASSERT_EQ(a.flows_toward(1, fa), 2u);
-    ASSERT_EQ(b.flows_toward(0, fb), 2u);
+    ASSERT_EQ(fleet.flows_toward(0, 1, fa), 2u);
+    ASSERT_EQ(fleet.flows_toward(1, 0, fb), 2u);
     const std::size_t passive = ea.active_slot == 1 ? 1 : 0;
     if (fa[passive].is_zero() && fb[passive].is_zero() && ea.role_count >= 2) {
       settled_state_seen = true;
     }
   };
   for (int i = 0; i < 30; ++i) {
-    b.on_receive(0, a.make_message_to(1)->packet);
+    fleet.receive(1, 0, fleet.make_message_to(0, 1)->packet);
     check_settled();  // the handshake settles between half-steps, so sample both
-    a.on_receive(1, b.make_message_to(0)->packet);
+    fleet.receive(0, 1, fleet.make_message_to(1, 0)->packet);
     check_settled();
   }
   EXPECT_TRUE(settled_state_seen);
-  EXPECT_GT(a.role_swaps() + b.role_swaps(), 0u);
+  EXPECT_GT(fleet.role_swaps(0) + fleet.role_swaps(1), 0u);
   // Two-node average is 4; both sides converge.
-  EXPECT_NEAR(a.estimate(), 4.0, 1e-12);
-  EXPECT_NEAR(b.estimate(), 4.0, 1e-12);
+  EXPECT_NEAR(fleet.estimate(0), 4.0, 1e-12);
+  EXPECT_NEAR(fleet.estimate(1), 4.0, 1e-12);
 }
 
 TEST(PushCancelFlow, RoleCountersAreMonotoneAndAdvance) {
@@ -259,7 +256,7 @@ TEST(PushCancelFlow, ConvergedFlowRatioApproachesAggregate) {
   for (NodeId i = 0; i < t.size(); ++i) {
     for (const NodeId j : t.neighbors(i)) {
       std::array<Mass, 2> slots;
-      ASSERT_EQ(engine.node(i).flows_toward(j, slots), 2u);
+      ASSERT_EQ(engine.fleet().flows_toward(i, j, slots), 2u);
       for (const Mass& f : slots) {
         if (std::abs(f.w) > 1e-6) {
           EXPECT_NEAR(f.s[0] / f.w, target, 1e-9) << "edge " << i << "-" << j;
@@ -273,35 +270,31 @@ TEST(PushCancelFlow, StalePacketAfterExclusionIsIgnored) {
   // Node 0 is the hub of a 3-star: neighbors {1, 2}.
   const std::vector<Mass> masses{Mass::scalar(6.0, 1.0), Mass::scalar(1.0, 1.0),
                                  Mass::scalar(1.0, 1.0)};
-  test::TestFleet fleet(Algorithm::kPushCancelFlow, net::Topology::star(3), masses,
-                        robust_config());
-  Reducer& a = fleet[0];
-  auto out = a.make_message_to(1);
+  ArenaFleet fleet(Algorithm::kPushCancelFlow, robust_config(), net::Topology::star(3), masses);
+  auto out = fleet.make_message_to(0, 1);
   ASSERT_TRUE(out.has_value());
-  a.on_link_down(1);
-  const Mass before = a.local_mass();
+  fleet.on_link_down(0, 1);
+  const Mass before = fleet.local_mass(0);
   Packet stale;
   stale.a = Mass::scalar(123.0, 4.0);
   stale.b = Mass::scalar(-5.0, 1.0);
   stale.active_slot = 1;
   stale.role_count = 1;
-  a.on_receive(1, stale);
-  EXPECT_EQ(a.local_mass(), before);
+  fleet.receive(0, 1, stale);
+  EXPECT_EQ(fleet.local_mass(0), before);
 }
 
 TEST(PushCancelFlow, CorruptHeaderIsIgnored) {
   const std::vector<Mass> masses{Mass::scalar(6.0, 1.0), Mass::scalar(1.0, 1.0)};
-  test::TestFleet fleet(Algorithm::kPushCancelFlow, net::Topology::bus(2), masses,
-                        fast_config());
-  Reducer& a = fleet[0];
-  const Mass before = a.local_mass();
+  ArenaFleet fleet(Algorithm::kPushCancelFlow, fast_config(), net::Topology::bus(2), masses);
+  const Mass before = fleet.local_mass(0);
   Packet bad;
   bad.a = Mass::scalar(1.0, 1.0);
   bad.b = Mass::scalar(1.0, 1.0);
   bad.active_slot = 77;  // corrupted
   bad.role_count = 1;
-  a.on_receive(1, bad);
-  EXPECT_EQ(a.local_mass(), before);
+  fleet.receive(0, 1, bad);
+  EXPECT_EQ(fleet.local_mass(0), before);
 }
 
 TEST(PushCancelFlow, SimultaneousCancellationRaceResolves) {

@@ -19,65 +19,57 @@ std::vector<Mass> pair_masses(double a, double b) {
 
 TEST(PushFlow, VirtualSendFoldsHalfIntoFlow) {
   const std::vector<Mass> masses{Mass::scalar(8.0, 2.0), Mass::scalar(0.0, 1.0)};
-  test::TestFleet fleet(Algorithm::kPushFlow, net::Topology::bus(2), masses);
-  Reducer& node = fleet[0];
+  ArenaFleet fleet(Algorithm::kPushFlow, {}, net::Topology::bus(2), masses);
   Rng rng(1);
-  const auto out = node.make_message(rng);
+  const auto out = fleet.make_message(0, rng);
   ASSERT_TRUE(out.has_value());
   // Flow toward 1 now carries half; the local mass dropped to half.
-  EXPECT_DOUBLE_EQ(flow_toward(node, 1).s[0], 4.0);
-  EXPECT_DOUBLE_EQ(node.local_mass().s[0], 4.0);
+  EXPECT_DOUBLE_EQ(flow_toward(fleet, 0, 1).s[0], 4.0);
+  EXPECT_DOUBLE_EQ(fleet.local_mass(0).s[0], 4.0);
   // Physical packet is the whole flow variable, not the delta.
   EXPECT_DOUBLE_EQ(out->packet.a.s[0], 4.0);
 }
 
 TEST(PushFlow, ReceiverMirrorsWithExactNegation) {
-  test::TestFleet fleet(Algorithm::kPushFlow, net::Topology::bus(2), pair_masses(6.0, 0.0));
-  Reducer& a = fleet[0];
-  Reducer& b = fleet[1];
+  ArenaFleet fleet(Algorithm::kPushFlow, {}, net::Topology::bus(2), pair_masses(6.0, 0.0));
   Rng rng(1);
-  const auto out = a.make_message(rng);
+  const auto out = fleet.make_message(0, rng);
   ASSERT_TRUE(out.has_value());
-  b.on_receive(0, out->packet);
-  EXPECT_TRUE(flow_toward(b, 0).is_negation_of(flow_toward(a, 1)));
+  fleet.receive(1, 0, out->packet);
+  EXPECT_TRUE(flow_toward(fleet, 1, 0).is_negation_of(flow_toward(fleet, 0, 1)));
   // Mass moved: a has 3, b has 3 (their mass sum is conserved: 6).
-  EXPECT_DOUBLE_EQ(a.local_mass().s[0], 3.0);
-  EXPECT_DOUBLE_EQ(b.local_mass().s[0], 3.0);
+  EXPECT_DOUBLE_EQ(fleet.local_mass(0).s[0], 3.0);
+  EXPECT_DOUBLE_EQ(fleet.local_mass(1).s[0], 3.0);
 }
 
 TEST(PushFlow, RetransmissionIsIdempotent) {
   // Losing a packet and receiving the next one gives the same state as
   // receiving both — the flow is absolute, not a delta. Two copies of the
   // receiver, so two fleets; the sender of the first one drives both.
-  test::TestFleet one(Algorithm::kPushFlow, net::Topology::bus(2), pair_masses(6.0, 0.0));
-  test::TestFleet two(Algorithm::kPushFlow, net::Topology::bus(2), pair_masses(6.0, 0.0));
-  Reducer& a = one[0];
-  Reducer& b1 = one[1];
-  Reducer& b2 = two[1];
+  ArenaFleet one(Algorithm::kPushFlow, {}, net::Topology::bus(2), pair_masses(6.0, 0.0));
+  ArenaFleet two(Algorithm::kPushFlow, {}, net::Topology::bus(2), pair_masses(6.0, 0.0));
   Rng rng(1);
-  const auto first = a.make_message(rng);
-  const auto second = a.make_message(rng);
+  const auto first = one.make_message(0, rng);
+  const auto second = one.make_message(0, rng);
   // b1 receives both; b2 only the second.
-  b1.on_receive(0, first->packet);
-  b1.on_receive(0, second->packet);
-  b2.on_receive(0, second->packet);
-  EXPECT_EQ(b1.local_mass(), b2.local_mass());
+  one.receive(1, 0, first->packet);
+  one.receive(1, 0, second->packet);
+  two.receive(1, 0, second->packet);
+  EXPECT_EQ(one.local_mass(1), two.local_mass(1));
 }
 
 TEST(PushFlow, BitFlipInFlowHealsAtNextDelivery) {
-  test::TestFleet fleet(Algorithm::kPushFlow, net::Topology::bus(2), pair_masses(6.0, 2.0));
-  Reducer& a = fleet[0];
-  Reducer& b = fleet[1];
+  ArenaFleet fleet(Algorithm::kPushFlow, {}, net::Topology::bus(2), pair_masses(6.0, 2.0));
   Rng rng(1);
-  b.on_receive(0, a.make_message(rng)->packet);
+  fleet.receive(1, 0, fleet.make_message(0, rng)->packet);
   // Corrupt b's mirrored flow (as a bit flip in memory would).
   Packet corrupt;
   corrupt.a = Mass::scalar(1234.5, -7.0);
-  b.on_receive(0, corrupt);
-  EXPECT_NE(b.local_mass().s[0], 5.0);
+  fleet.receive(1, 0, corrupt);
+  EXPECT_NE(fleet.local_mass(1).s[0], 5.0);
   // The next regular delivery from a overwrites the corruption.
-  b.on_receive(0, a.make_message(rng)->packet);
-  EXPECT_TRUE(flow_toward(b, 0).is_negation_of(flow_toward(a, 1)));
+  fleet.receive(1, 0, fleet.make_message(0, rng)->packet);
+  EXPECT_TRUE(flow_toward(fleet, 1, 0).is_negation_of(flow_toward(fleet, 0, 1)));
 }
 
 TEST(PushFlow, ConvergesOnHypercubeAvgAndSum) {
@@ -129,7 +121,7 @@ TEST(PushFlow, BusCutInvariantMatchesFig2ClosedForm) {
   engine.run_until_error(1e-13, 20000);
   ASSERT_LT(engine.max_error(), 1e-13);
   for (NodeId i = 0; i + 1 < n; ++i) {
-    const Mass f = flow_toward(engine.node(i), i + 1);
+    const Mass f = flow_toward(engine.fleet(), i, i + 1);
     const double expected = static_cast<double>(n - 1 - i);
     EXPECT_NEAR(f.s[0] - 2.0 * f.w, expected, 1e-6) << "edge " << i;
   }

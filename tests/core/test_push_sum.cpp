@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+
 #include "net/topology.hpp"
+#include "net/tree_schedule.hpp"
 #include "sim/engine_sync.hpp"
 #include "test_util.hpp"
 
@@ -10,51 +14,69 @@ namespace {
 using test::make_engine;
 using test::total_mass;
 
-TEST(PushSum, InitRejectsDoubleInit) {
-  const std::vector<Mass> masses{Mass::scalar(1.0, 1.0), Mass::scalar(1.0, 1.0)};
-  test::TestFleet fleet(Algorithm::kPushSum, net::Topology::bus(2), masses);
-  const std::vector<NodeId> nb{1};
-  EXPECT_THROW(fleet[0].init(0, nb, Mass::scalar(1.0, 1.0)), ContractViolation);
-}
-
 TEST(PushSum, InitRejectsEmptyNeighborhood) {
   const std::vector<Mass> masses{Mass::scalar(1.0, 1.0), Mass::scalar(1.0, 1.0)};
   const auto isolated = net::Topology::from_edges(2, {});
-  EXPECT_THROW(test::TestFleet(Algorithm::kPushSum, isolated, masses), ContractViolation);
+  EXPECT_THROW(ArenaFleet(Algorithm::kPushSum, {}, isolated, masses), ContractViolation);
 }
 
 TEST(PushSum, SendPushesHalfTheMass) {
   const std::vector<Mass> masses{Mass::scalar(8.0, 2.0), Mass::scalar(0.0, 1.0)};
-  test::TestFleet fleet(Algorithm::kPushSum, net::Topology::bus(2), masses);
-  Reducer& node = fleet[0];
+  ArenaFleet fleet(Algorithm::kPushSum, {}, net::Topology::bus(2), masses);
   Rng rng(1);
-  const auto out = node.make_message(rng);
+  const auto out = fleet.make_message(0, rng);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->to, 1u);
   EXPECT_DOUBLE_EQ(out->packet.a.s[0], 4.0);
   EXPECT_DOUBLE_EQ(out->packet.a.w, 1.0);
-  EXPECT_DOUBLE_EQ(node.local_mass().s[0], 4.0);
+  EXPECT_DOUBLE_EQ(fleet.local_mass(0).s[0], 4.0);
 }
 
 TEST(PushSum, ReceiveAddsMass) {
   const std::vector<Mass> masses{Mass::scalar(1.0, 1.0), Mass::scalar(0.0, 1.0)};
-  test::TestFleet fleet(Algorithm::kPushSum, net::Topology::bus(2), masses);
-  Reducer& node = fleet[0];
+  ArenaFleet fleet(Algorithm::kPushSum, {}, net::Topology::bus(2), masses);
   Packet p;
   p.a = Mass::scalar(3.0, 1.0);
-  node.on_receive(1, p);
-  EXPECT_DOUBLE_EQ(node.local_mass().s[0], 4.0);
-  EXPECT_DOUBLE_EQ(node.estimate(), 2.0);
+  fleet.receive(0, 1, p);
+  EXPECT_DOUBLE_EQ(fleet.local_mass(0).s[0], 4.0);
+  EXPECT_DOUBLE_EQ(fleet.estimate(0), 2.0);
 }
 
 TEST(PushSum, IgnoresPacketsFromStrangers) {
-  const std::vector<Mass> masses{Mass::scalar(1.0, 1.0), Mass::scalar(0.0, 1.0)};
-  test::TestFleet fleet(Algorithm::kPushSum, net::Topology::bus(2), masses);
-  Reducer& node = fleet[0];
-  Packet p;
-  p.a = Mass::scalar(100.0, 1.0);
-  node.on_receive(42, p);
-  EXPECT_DOUBLE_EQ(node.local_mass().s[0], 1.0);
+  // Node 0 of a 3-bus hears from node 2 (a node that is not its neighbor) and
+  // from id 3 (outside the fleet). The by-id receive must ignore both, for
+  // every algorithm: no mass, flow or liveness change.
+  const auto t = net::Topology::bus(3);
+  const std::vector<Mass> masses{Mass::scalar(1.0, 1.0), Mass::scalar(0.0, 1.0),
+                                 Mass::scalar(2.0, 1.0)};
+  for (const Algorithm algorithm :
+       {Algorithm::kPushSum, Algorithm::kPushFlow, Algorithm::kPushCancelFlow,
+        Algorithm::kFlowUpdating, Algorithm::kCorrectionAllreduce, Algorithm::kFuMassHybrid}) {
+    ReducerConfig config;
+    if (needs_tree_schedule(algorithm)) {
+      config.tree = std::make_shared<const net::TreeSchedule>(
+          net::build_tree_schedule(t, config.tree_kind));
+    }
+    ArenaFleet fleet(algorithm, config, t, masses);
+    const auto flows_of_node0 = [&] {
+      std::array<Mass, ArenaFleet::kMaxFlowSlots> slots{};
+      const std::size_t count = fleet.flows_toward(0, 1, slots);
+      return std::vector<Mass>(slots.begin(), slots.begin() + static_cast<std::ptrdiff_t>(count));
+    };
+    const Mass mass_before = fleet.local_mass(0);
+    const std::vector<Mass> flows_before = flows_of_node0();
+    Packet p;
+    p.a = Mass::scalar(100.0, 1.0);
+    p.b = Mass::scalar(100.0, 1.0);
+    p.active_slot = 1;
+    p.role_count = 1;
+    fleet.receive(0, 2, p);
+    fleet.receive(0, static_cast<NodeId>(t.size()), p);
+    EXPECT_DOUBLE_EQ(fleet.local_mass(0).s[0], 1.0) << to_string(algorithm);
+    EXPECT_EQ(fleet.local_mass(0), mass_before) << to_string(algorithm);
+    EXPECT_EQ(flows_of_node0(), flows_before) << to_string(algorithm);
+    EXPECT_EQ(fleet.live_degree(0), 1u) << to_string(algorithm);
+  }
 }
 
 TEST(PushSum, ConvergesToAverageOnHypercube) {
@@ -100,22 +122,20 @@ TEST(PushSum, MessageLossDestroysTheResult) {
 
 TEST(PushSum, NoLiveNeighborMeansNoMessage) {
   const std::vector<Mass> masses{Mass::scalar(1.0, 1.0), Mass::scalar(0.0, 1.0)};
-  test::TestFleet fleet(Algorithm::kPushSum, net::Topology::bus(2), masses);
-  Reducer& node = fleet[0];
-  node.on_link_down(1);
+  ArenaFleet fleet(Algorithm::kPushSum, {}, net::Topology::bus(2), masses);
+  fleet.on_link_down(0, 1);
   Rng rng(1);
-  EXPECT_FALSE(node.make_message(rng).has_value());
-  EXPECT_EQ(node.live_degree(), 0u);
+  EXPECT_FALSE(fleet.make_message(0, rng).has_value());
+  EXPECT_EQ(fleet.live_degree(0), 0u);
 }
 
 TEST(PushSum, DuplicateLinkDownIsBenign) {
   // Node 0 is the hub of a 3-star: neighbors {1, 2}.
   const std::vector<Mass> masses(3, Mass::scalar(1.0, 1.0));
-  test::TestFleet fleet(Algorithm::kPushSum, net::Topology::star(3), masses);
-  Reducer& node = fleet[0];
-  node.on_link_down(1);
-  node.on_link_down(1);
-  EXPECT_EQ(node.live_degree(), 1u);
+  ArenaFleet fleet(Algorithm::kPushSum, {}, net::Topology::star(3), masses);
+  fleet.on_link_down(0, 1);
+  fleet.on_link_down(0, 1);
+  EXPECT_EQ(fleet.live_degree(0), 1u);
 }
 
 }  // namespace

@@ -27,19 +27,19 @@ std::uint64_t bits_of(double v) {
 
 std::vector<std::uint64_t> fingerprint(const SyncEngine& engine, const net::Topology& t) {
   std::vector<std::uint64_t> fp;
+  const core::ArenaFleet& fleet = engine.fleet();
   for (NodeId i = 0; i < t.size(); ++i) {
     fp.push_back(engine.node_alive(i) ? 1u : 0u);
     if (!engine.node_alive(i)) continue;
-    const core::Reducer& n = engine.node(i);
-    const core::Mass m = n.local_mass();
+    const core::Mass m = fleet.local_mass(i);
     for (std::size_t k = 0; k < m.dim(); ++k) fp.push_back(bits_of(m.s[k]));
     fp.push_back(bits_of(m.w));
-    fp.push_back(bits_of(n.estimate(0)));
-    fp.push_back(n.live_degree());
-    fp.push_back(bits_of(n.max_abs_flow_component()));
+    fp.push_back(bits_of(fleet.estimate(i, 0)));
+    fp.push_back(fleet.live_degree(i));
+    fp.push_back(bits_of(fleet.max_abs_flow_component(i)));
     std::array<core::Mass, 2> flows{};
     for (const NodeId j : t.neighbors(i)) {
-      const std::size_t count = n.flows_toward(j, flows);
+      const std::size_t count = fleet.flows_toward(i, j, flows);
       fp.push_back(count);
       for (std::size_t q = 0; q < count; ++q) {
         for (std::size_t k = 0; k < flows[q].dim(); ++k) fp.push_back(bits_of(flows[q].s[k]));

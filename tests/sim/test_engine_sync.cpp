@@ -116,9 +116,9 @@ TEST(SyncEngine, LinkFailureCutsTransportBeforeDetection) {
   engine.run(30);
   EXPECT_GT(engine.stats().messages_dropped, 10u);
   // Detection has not fired yet: nodes still think the link is alive.
-  EXPECT_EQ(engine.node(0).live_degree(), 1u);
+  EXPECT_EQ(engine.fleet().live_degree(0), 1u);
   engine.run(40);  // past round 60 = failure(10) + delay(50)
-  EXPECT_EQ(engine.node(0).live_degree(), 0u);
+  EXPECT_EQ(engine.fleet().live_degree(0), 0u);
 }
 
 TEST(SyncEngine, NodeCrashRemovesNodeFromEstimates) {
@@ -197,12 +197,12 @@ TEST(SyncEngine, StarHubCrashFloodsNoticesAndRetargetsExactly) {
   EXPECT_TRUE(engine.node_alive(0));
   engine.run(1);  // round 7 fires the crash; notices due at round 8
   EXPECT_FALSE(engine.node_alive(0));
-  EXPECT_EQ(engine.node(1).live_degree(), 1u);  // not yet notified
+  EXPECT_EQ(engine.fleet().live_degree(1), 1u);  // not yet notified
   engine.run(2);
   double survivor_mass = 0.0, survivor_weight = 0.0;
   for (net::NodeId i = 1; i < t.size(); ++i) {
-    EXPECT_EQ(engine.node(i).live_degree(), 0u) << "spoke " << i << " missed its notice";
-    const auto m = engine.node(i).local_mass();
+    EXPECT_EQ(engine.fleet().live_degree(i), 0u) << "spoke " << i << " missed its notice";
+    const auto m = engine.fleet().local_mass(i);
     survivor_mass += m.s[0];
     survivor_weight += m.w;
   }
@@ -249,10 +249,10 @@ TEST(SyncEngine, DetectionDelayZeroMatchesPaperSetup) {
   faults.link_failures.push_back({10.0, 0, 1});
   auto engine = make_engine(t, Algorithm::kPushFlow, Aggregate::kAverage, 5, faults);
   engine.run(10);
-  EXPECT_EQ(engine.node(0).live_degree(), 3u);
+  EXPECT_EQ(engine.fleet().live_degree(0), 3u);
   engine.run(1);  // round 11 processes the failure due at t=10
-  EXPECT_EQ(engine.node(0).live_degree(), 2u);
-  EXPECT_EQ(engine.node(1).live_degree(), 2u);
+  EXPECT_EQ(engine.fleet().live_degree(0), 2u);
+  EXPECT_EQ(engine.fleet().live_degree(1), 2u);
 }
 
 }  // namespace

@@ -54,8 +54,8 @@ TEST(GoldenTrace, PcfOnTheBusCaseStudyIsBitStable) {
   for (std::size_t round = 0; round < kGolden.size(); ++round) {
     engine.step();
     // Exact binary equality, not near: the trace is deterministic.
-    EXPECT_EQ(engine.node(0).estimate(), kGolden[round].node0_estimate) << "round " << round + 1;
-    EXPECT_EQ(engine.node(7).estimate(), kGolden[round].node7_estimate) << "round " << round + 1;
+    EXPECT_EQ(engine.fleet().estimate(0), kGolden[round].node0_estimate) << "round " << round + 1;
+    EXPECT_EQ(engine.fleet().estimate(7), kGolden[round].node7_estimate) << "round " << round + 1;
     EXPECT_EQ(engine.max_error(), kGolden[round].max_error) << "round " << round + 1;
   }
 }
@@ -91,9 +91,9 @@ TEST(GoldenTrace, CorrectionAllreduceOnTheBusCaseStudyIsBitStable) {
 
   for (std::size_t round = 0; round < kGoldenCorrection.size(); ++round) {
     engine.step();
-    EXPECT_EQ(engine.node(0).estimate(), kGoldenCorrection[round].node0_estimate)
+    EXPECT_EQ(engine.fleet().estimate(0), kGoldenCorrection[round].node0_estimate)
         << "round " << round + 1;
-    EXPECT_EQ(engine.node(7).estimate(), kGoldenCorrection[round].node7_estimate)
+    EXPECT_EQ(engine.fleet().estimate(7), kGoldenCorrection[round].node7_estimate)
         << "round " << round + 1;
     EXPECT_EQ(engine.max_error(), kGoldenCorrection[round].max_error) << "round " << round + 1;
   }
@@ -127,9 +127,9 @@ TEST(GoldenTrace, FuMassHybridOnTheBusCaseStudyIsBitStable) {
 
   for (std::size_t round = 0; round < kGoldenHybrid.size(); ++round) {
     engine.step();
-    EXPECT_EQ(engine.node(0).estimate(), kGoldenHybrid[round].node0_estimate)
+    EXPECT_EQ(engine.fleet().estimate(0), kGoldenHybrid[round].node0_estimate)
         << "round " << round + 1;
-    EXPECT_EQ(engine.node(7).estimate(), kGoldenHybrid[round].node7_estimate)
+    EXPECT_EQ(engine.fleet().estimate(7), kGoldenHybrid[round].node7_estimate)
         << "round " << round + 1;
     EXPECT_EQ(engine.max_error(), kGoldenHybrid[round].max_error) << "round " << round + 1;
   }
@@ -154,7 +154,7 @@ TEST(GoldenTrace, SameSeedSameFirstRoundScheduleAcrossAlgorithms) {
   // Round 1 of PF on the same schedule is numerically identical to PCF: every
   // edge is still in its first steady phase, where PCF degenerates to PF.
   for (net::NodeId i = 0; i < 8; ++i) {
-    EXPECT_EQ(pf_engine.node(i).estimate(), pcf_engine.node(i).estimate()) << "node " << i;
+    EXPECT_EQ(pf_engine.fleet().estimate(i), pcf_engine.fleet().estimate(i)) << "node " << i;
   }
 }
 

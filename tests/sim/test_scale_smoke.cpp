@@ -80,7 +80,7 @@ TEST(ScaleSmoke, CrashAndRejoinOnHundredThousandNodes) {
   engine.run(4);
   EXPECT_TRUE(engine.node_alive(50000));
   EXPECT_EQ(engine.fleet().size(), fleet_size);
-  EXPECT_TRUE(std::isfinite(engine.node(50000).estimate(0)));
+  EXPECT_TRUE(std::isfinite(engine.fleet().estimate(50000, 0)));
 }
 
 }  // namespace

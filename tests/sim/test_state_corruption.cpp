@@ -84,22 +84,21 @@ TEST(StateCorruption, SurvivorsStillReachConsensus) {
 const std::vector<core::Mass> kUnitPair{core::Mass::scalar(1.0, 1.0), core::Mass::scalar(1.0, 1.0)};
 
 TEST(StateCorruption, PushSumHasNoFlowStateToCorrupt) {
-  test::TestFleet fleet(Algorithm::kPushSum, net::Topology::bus(2), kUnitPair);
+  core::ArenaFleet fleet(Algorithm::kPushSum, {}, net::Topology::bus(2), kUnitPair);
   Rng rng(1);
-  EXPECT_FALSE(fleet[0].corrupt_stored_flow(rng));
+  EXPECT_FALSE(fleet.corrupt_stored_flow(0, rng));
 }
 
 TEST(StateCorruption, HookActuallyMutatesState) {
-  test::TestFleet fleet(Algorithm::kPushFlow, net::Topology::bus(2), kUnitPair);
-  core::Reducer& reducer = fleet[0];
+  core::ArenaFleet fleet(Algorithm::kPushFlow, {}, net::Topology::bus(2), kUnitPair);
   Rng send_rng(1);
-  (void)reducer.make_message(send_rng);  // put a nonzero value in the flow
-  const double before = reducer.max_abs_flow_component();
+  (void)fleet.make_message(0, send_rng);  // put a nonzero value in the flow
+  const double before = fleet.max_abs_flow_component(0);
   Rng rng(2);
   bool changed = false;
   for (int i = 0; i < 16 && !changed; ++i) {
-    ASSERT_TRUE(reducer.corrupt_stored_flow(rng));
-    changed = reducer.max_abs_flow_component() != before;
+    ASSERT_TRUE(fleet.corrupt_stored_flow(0, rng));
+    changed = fleet.max_abs_flow_component(0) != before;
   }
   EXPECT_TRUE(changed);
 }

@@ -129,5 +129,13 @@ TEST(DistributedExtrema, RejectsWrongValueCount) {
   EXPECT_THROW(distributed_extrema(t, values, {}), ContractViolation);
 }
 
+TEST(DistributedExtrema, RejectsDisconnectedTopology) {
+  // Two components: gossip could only ever report per-component extrema.
+  const std::vector<std::pair<net::NodeId, net::NodeId>> edges{{0, 1}, {2, 3}};
+  const auto t = net::Topology::from_edges(4, edges);
+  const std::vector<double> values{1.0, 2.0, 3.0, 4.0};
+  EXPECT_THROW(distributed_extrema(t, values, {}), ContractViolation);
+}
+
 }  // namespace
 }  // namespace pcf::sim

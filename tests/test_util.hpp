@@ -2,7 +2,6 @@
 #pragma once
 
 #include <array>
-#include <span>
 #include <vector>
 
 #include "core/arena.hpp"
@@ -31,34 +30,11 @@ inline std::vector<core::Mass> bus_case_study_masses(std::size_t n) {
   return masses;
 }
 
-/// A hand-driven system for the protocol unit tests: one core::ArenaFleet
-/// over a small topology plus an init()-ed ArenaReducer facade per node.
-/// Tests that need two copies of one node (a retransmission compared against
-/// a single delivery) build two fleets. Neither copyable nor movable: the
-/// facades point into the fleet.
-class TestFleet {
- public:
-  TestFleet(core::Algorithm algorithm, const net::Topology& topology,
-            std::span<const core::Mass> initial, const core::ReducerConfig& config = {})
-      : fleet_(algorithm, config, topology, initial),
-        nodes_(core::make_facades(fleet_, topology, initial)) {}
-  TestFleet(const TestFleet&) = delete;
-  TestFleet& operator=(const TestFleet&) = delete;
-
-  [[nodiscard]] core::ArenaReducer& operator[](net::NodeId i) { return nodes_.at(i); }
-  [[nodiscard]] const core::ArenaReducer& operator[](net::NodeId i) const { return nodes_.at(i); }
-  [[nodiscard]] const core::ArenaFleet& fleet() const { return fleet_; }
-
- private:
-  core::ArenaFleet fleet_;
-  std::vector<core::ArenaReducer> nodes_;
-};
-
-/// Flow slot 0 of `node` toward neighbor j (zero-dimensional when the node
-/// stores no flow toward j).
-inline core::Mass flow_toward(const core::Reducer& node, net::NodeId j) {
-  std::array<core::Mass, core::Reducer::kMaxFlowSlots> slots{};
-  (void)node.flows_toward(j, slots);
+/// Flow slot 0 of node i toward neighbor j (zero-dimensional when i stores
+/// no flow toward j).
+inline core::Mass flow_toward(const core::ArenaFleet& fleet, net::NodeId i, net::NodeId j) {
+  std::array<core::Mass, core::ArenaFleet::kMaxFlowSlots> slots{};
+  (void)fleet.flows_toward(i, j, slots);
   return slots[0];
 }
 
@@ -91,10 +67,10 @@ inline core::Mass total_mass(const sim::SyncEngine& engine) {
   for (net::NodeId i = 0; i < engine.size(); ++i) {
     if (!engine.node_alive(i)) continue;
     if (first) {
-      total = engine.node(i).local_mass();
+      total = engine.fleet().local_mass(i);
       first = false;
     } else {
-      total += engine.node(i).local_mass();
+      total += engine.fleet().local_mass(i);
     }
   }
   return total;
