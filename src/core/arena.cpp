@@ -90,9 +90,10 @@ ArenaFleet::ArenaFleet(Algorithm algorithm, const ReducerConfig& config,
       have_estimate_.assign(edges, 0);
       break;
     case Algorithm::kCorrectionAllreduce: {
-      PCF_CHECK_MSG(config_.tree != nullptr,
-                    "correction-allreduce needs a resolved tree schedule "
-                    "(engines build one; direct construction must supply it)");
+      if (!config_.tree) {
+        config_.tree = std::make_shared<const net::TreeSchedule>(
+            net::build_tree_schedule(topology, config_.tree_kind));
+      }
       tree_ = config_.tree;
       PCF_CHECK_MSG(tree_->parent.size() >= n && tree_->depth.size() >= n,
                     "tree schedule does not cover the topology");

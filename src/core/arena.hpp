@@ -131,7 +131,9 @@ decltype(auto) dispatch(Algorithm a, F&& f) {
 class ArenaFleet {
  public:
   /// Builds the CSR adjacency and the algorithm's state arrays, and installs
-  /// one initial mass per node. All masses must share one dimension.
+  /// one initial mass per node. All masses must share one dimension. A
+  /// correction allreduce with no `config.tree` builds its tree schedule
+  /// from the topology and `config.tree_kind`.
   ArenaFleet(Algorithm algorithm, const ReducerConfig& config,
              const net::Topology& topology, std::span<const Mass> initial);
 

@@ -45,13 +45,6 @@ enum class Algorithm {
 /// Parses "pushsum" | "pf" | "pcf" | "fu" | "corr" | "fumd" (and long names).
 [[nodiscard]] Algorithm parse_algorithm(std::string_view name);
 
-/// Whether the algorithm needs a resolved net::TreeSchedule in its
-/// ReducerConfig before a fleet is constructed. The engines populate it from
-/// their topology when the caller left it empty.
-[[nodiscard]] constexpr bool needs_tree_schedule(Algorithm a) noexcept {
-  return a == Algorithm::kCorrectionAllreduce;
-}
-
 /// PCF bookkeeping variants (Section III-A of the paper).
 enum class PcfVariant {
   /// Fig. 5 verbatim: the flow sum ϕ is maintained incrementally and the
@@ -76,9 +69,9 @@ struct ReducerConfig {
   /// the topology (star hub → star, id-order path → chain, heap edges →
   /// binary, else BFS) — the Hoplite-style dynamic reduce-topology pick.
   net::TreeKind tree_kind = net::TreeKind::kAuto;
-  /// The resolved tree schedule, shared read-only by every node. Engines
-  /// build it from their topology when an algorithm that needs it (see
-  /// needs_tree_schedule) is selected and this is still empty. Derived state:
+  /// The resolved tree schedule, shared read-only by every node. A
+  /// correction-allreduce ArenaFleet builds it from its topology and
+  /// tree_kind when this is empty. Derived state:
   /// a pure function of topology × tree_kind, so checkpoint compatibility
   /// hashes tree_kind, never the schedule itself.
   std::shared_ptr<const net::TreeSchedule> tree;

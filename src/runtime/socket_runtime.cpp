@@ -609,10 +609,6 @@ SocketRuntime::SocketRuntime(net::Topology topology, std::span<const core::Mass>
   PCF_CHECK_MSG(config_.num_shards >= 1 && config_.num_shards <= topology_.size(),
                 "socket runtime wants 1 <= num_shards <= nodes");
   PCF_CHECK_MSG(!config_.run_dir.empty(), "socket runtime needs a run_dir");
-  if (core::needs_tree_schedule(config_.algorithm) && !config_.reducer.tree) {
-    config_.reducer.tree = std::make_shared<const net::TreeSchedule>(
-        net::build_tree_schedule(topology_, config_.reducer.tree_kind));
-  }
   initial_.assign(initial.begin(), initial.end());
 }
 

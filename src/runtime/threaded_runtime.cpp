@@ -15,11 +15,6 @@ ThreadedRuntime::ThreadedRuntime(net::Topology topology,
   }
   config_.num_threads = std::min(config_.num_threads, topology.size());
 
-  if (core::needs_tree_schedule(config_.algorithm) && !config_.reducer.tree) {
-    config_.reducer.tree = std::make_shared<const net::TreeSchedule>(
-        net::build_tree_schedule(topology, config_.reducer.tree_kind));
-  }
-
   const Rng base(config_.seed);
   fleet_ = std::make_unique<core::ArenaFleet>(config_.algorithm, config_.reducer, topology_,
                                               initial);

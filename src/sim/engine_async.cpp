@@ -69,11 +69,6 @@ AsyncEngine::AsyncEngine(net::Topology topology, std::span<const core::Mass> ini
   PCF_CHECK_MSG(config_.latency_min >= 0.0 && config_.latency_max >= config_.latency_min,
                 "bad latency range");
 
-  if (core::needs_tree_schedule(config_.algorithm) && !config_.reducer.tree) {
-    config_.reducer.tree = std::make_shared<const net::TreeSchedule>(
-        net::build_tree_schedule(topology_, config_.reducer.tree_kind));
-  }
-
   const Rng base(config_.seed);
   fleet_ = std::make_unique<core::ArenaFleet>(config_.algorithm, config_.reducer, topology_,
                                               initial);
@@ -82,11 +77,11 @@ AsyncEngine::AsyncEngine(net::Topology topology, std::span<const core::Mass> ini
   for (NodeId i = 0; i < topology.size(); ++i) schedule_tick(i);
   for (const auto& f : config_.faults.link_failures) {
     PCF_CHECK_MSG(topology.has_edge(f.a, f.b), "fault plan: unknown link");
-    push({f.time, Event::Kind::kLinkFailure, f.a, f.b});
+    push({f.time, Event::Kind::kLinkFailure, f.a, f.b, 0, 0.0, {}});
   }
   for (const auto& c : config_.faults.node_crashes) {
     PCF_CHECK_MSG(c.node < topology.size(), "fault plan: crash node out of range");
-    push({c.time, Event::Kind::kCrash, c.node});
+    push({c.time, Event::Kind::kCrash, c.node, 0, 0, 0.0, {}});
   }
   for (const auto& u : config_.faults.data_updates) {
     PCF_CHECK_MSG(u.node < topology.size(), "fault plan: data update node out of range");
@@ -130,7 +125,7 @@ void AsyncEngine::push(Event e) {
 
 void AsyncEngine::schedule_tick(NodeId node) {
   const double dt = node_rngs_[node].exponential(config_.tick_rate);
-  push({now_ + dt, Event::Kind::kTick, node});
+  push({now_ + dt, Event::Kind::kTick, node, 0, 0, 0.0, {}});
 }
 
 void AsyncEngine::fail_link(NodeId a, NodeId b, bool independent) {

@@ -87,11 +87,6 @@ SyncEngine::SyncEngine(net::Topology topology, std::span<const core::Mass> initi
   PCF_CHECK_MSG(initial.size() == topology.size(), "one initial mass per node required");
   PCF_CHECK_MSG(topology.is_connected(), "topology must be connected");
 
-  if (core::needs_tree_schedule(config_.algorithm) && !config_.reducer.tree) {
-    config_.reducer.tree = std::make_shared<const net::TreeSchedule>(
-        net::build_tree_schedule(topology_, config_.reducer.tree_kind));
-  }
-
   const Rng base(config_.seed);
   fleet_ = std::make_unique<core::ArenaFleet>(config_.algorithm, config_.reducer, topology_,
                                               initial);
@@ -405,12 +400,30 @@ std::size_t SyncEngine::step() {
   return round_;
 }
 
+bool SyncEngine::transport_drops(const core::ArenaFleet::Send& out) const {
+  // The fleet's CSR slots are the topology's, so the receiver-side slot
+  // indexes the link set too.
+  return dead_links_.contains_at(out.to, out.to_slot) || !alive_[out.to];
+}
+
+bool SyncEngine::survives_transport_faults(core::Packet& packet) {
+  const auto& plan = config_.faults;
+  if (plan.message_loss_prob > 0.0 && fault_rng_.chance(plan.message_loss_prob)) {
+    ++stats_.messages_dropped;
+    return false;
+  }
+  if (plan.bit_flip_prob > 0.0 && fault_rng_.chance(plan.bit_flip_prob)) {
+    flip_random_bit(packet, fault_rng_, plan.bit_flip_any_bit);
+    ++stats_.messages_flipped;
+  }
+  return true;
+}
+
 template <core::Algorithm A>
-void SyncEngine::send_phase() {
-  auto& plan = config_.faults;
-  // Any reorder probability routes packets through the wire even in
-  // sequential mode — reordering needs the full round's packets in hand.
-  const bool via_wire = config_.delivery == Delivery::kCrossing || plan.reorder_prob > 0.0;
+void SyncEngine::immediate_send_phase() {
+  // Serial by nature: each delivery changes the receiver's state before the
+  // receiver's own send later in the loop reads it.
+  const auto& plan = config_.faults;
   const std::size_t wire_masses = fleet_->wire_masses();
   for (NodeId i = 0; i < fleet_->size(); ++i) {
     if (!alive_[i]) continue;
@@ -418,48 +431,28 @@ void SyncEngine::send_phase() {
     if (!out) continue;
     ++stats_.messages_sent;
     stats_.doubles_sent += wire_masses * (out->packet.a.dim() + 1);
-    // Transport faults, in physical order: a dead link transports nothing;
-    // a live link may drop or corrupt the packet. (The fleet's CSR slots are
-    // the topology's, so the receiver-side slot indexes the link set too.)
-    if (dead_links_.contains_at(out->to, out->to_slot) || !alive_[out->to]) {
+    if (transport_drops(*out)) {
       ++stats_.messages_dropped;
       continue;
     }
-    if (plan.message_loss_prob > 0.0 && fault_rng_.chance(plan.message_loss_prob)) {
-      ++stats_.messages_dropped;
-      continue;
-    }
-    if (plan.bit_flip_prob > 0.0 && fault_rng_.chance(plan.bit_flip_prob)) {
-      flip_random_bit(out->packet, fault_rng_, plan.bit_flip_any_bit);
-      ++stats_.messages_flipped;
-    }
-    if (!via_wire) {
-      const bool dup =
-          plan.duplicate_prob > 0.0 && fault_rng_.chance(plan.duplicate_prob);
+    if (!survives_transport_faults(out->packet)) continue;
+    const bool dup = plan.duplicate_prob > 0.0 && fault_rng_.chance(plan.duplicate_prob);
+    fleet_->receive<A>(out->to, i, out->to_slot, out->packet);
+    ++perf_.deliveries;
+    if (dup) {
+      // The duplicate arrives back-to-back with the original.
+      ++stats_.messages_duplicated;
       fleet_->receive<A>(out->to, i, out->to_slot, out->packet);
       ++perf_.deliveries;
-      if (dup) {
-        // The duplicate arrives back-to-back with the original.
-        ++stats_.messages_duplicated;
-        fleet_->receive<A>(out->to, i, out->to_slot, out->packet);
-        ++perf_.deliveries;
-      }
-    } else {
-      if (plan.reorder_prob > 0.0) wire_reordered_ = true;
-      wire_[i] = std::move(*out);
-      wire_present_[i] = 1;
-      ++wire_count_;
     }
   }
 }
 
 template <core::Algorithm A>
-void SyncEngine::send_phase_sharded() {
-  // Preconditions (dispatch_send_phase): all packets go to the wire and the
-  // send loop draws no fault_rng_ — only node_rngs_[i], which are per-node.
-  // Each shard owns a contiguous node block and writes only its senders'
-  // wire slots, so the wire is the serial one byte-for-byte.
-  auto& plan = config_.faults;
+void SyncEngine::wire_send_phase() {
+  // Each shard owns a contiguous sender block. make_message draws only the
+  // sender's own RNG and writes only the sender's rows and wire slot, so the
+  // blocks are independent.
   const std::size_t n = fleet_->size();
   const std::size_t shards = std::min(shards_, n);
   const std::size_t wire_masses = fleet_->wire_masses();
@@ -480,7 +473,7 @@ void SyncEngine::send_phase_sharded() {
       if (!out) continue;
       ++local.sent;
       local.doubles += wire_masses * (out->packet.a.dim() + 1);
-      if (dead_links_.contains_at(out->to, out->to_slot) || !alive_[out->to]) {
+      if (transport_drops(*out)) {
         ++local.dropped;
         continue;
       }
@@ -495,15 +488,23 @@ void SyncEngine::send_phase_sharded() {
     stats_.doubles_sent += local.doubles;
     wire_count_ += local.wired;
   }
-  // Same flag the serial loop sets per wired packet.
+  // Loss and flip draw from the one fault_rng_, packet by packet in ascending
+  // sender order: the draws a serial send loop makes, in the same order.
+  const auto& plan = config_.faults;
+  if (plan.message_loss_prob > 0.0 || plan.bit_flip_prob > 0.0) {
+    for (NodeId i = 0; i < n; ++i) {
+      if (wire_present_[i] == 0 || survives_transport_faults(wire_[i].packet)) continue;
+      wire_present_[i] = 0;
+      --wire_count_;
+    }
+  }
   if (plan.reorder_prob > 0.0 && wire_count_ > 0) wire_reordered_ = true;
 }
 
-template <core::Algorithm A>
-void SyncEngine::drain_phase() {
-  auto& plan = config_.faults;
-  // The present slots in ascending sender order: the order the serial send
-  // loop produced them.
+void SyncEngine::draw_delivery_sequence() {
+  const auto& plan = config_.faults;
+  // The present slots in ascending sender order: the order the send loop
+  // filled them. drain_order_ is scratch here; the drain's sort refills it.
   drain_order_.clear();
   for (NodeId i = 0; i < fleet_->size(); ++i) {
     if (wire_present_[i] != 0) drain_order_.push_back(i);
@@ -525,40 +526,47 @@ void SyncEngine::drain_phase() {
     std::copy(delayed.begin(), delayed.end(),
               drain_order_.begin() + static_cast<std::ptrdiff_t>(on_time));
   }
+  // A duplicate arrives back-to-back with its original.
+  drain_sequence_.clear();
   for (const std::size_t from : drain_order_) {
-    const auto& msg = wire_[from];
-    if (!alive_[msg.to]) continue;
-    const bool dup = plan.duplicate_prob > 0.0 && fault_rng_.chance(plan.duplicate_prob);
-    fleet_->receive<A>(msg.to, static_cast<NodeId>(from), msg.to_slot, msg.packet);
-    ++perf_.deliveries;
-    if (dup) {
+    drain_sequence_.push_back(from);
+    if (plan.duplicate_prob > 0.0 && alive_[wire_[from].to] &&
+        fault_rng_.chance(plan.duplicate_prob)) {
       ++stats_.messages_duplicated;
-      fleet_->receive<A>(msg.to, static_cast<NodeId>(from), msg.to_slot, msg.packet);
-      ++perf_.deliveries;
+      drain_sequence_.push_back(from);
     }
   }
 }
 
 template <core::Algorithm A>
-void SyncEngine::drain_phase_sharded() {
-  // Preconditions (dispatch_drain_phase): no duplicate/reorder draws, so
-  // delivery order only matters PER RECEIVER, and a receive mutates only the
-  // receiver's own arena rows. Stable counting sort of the present slots by
-  // receiver, then shard over contiguous receiver ranges — each receiver sees
-  // its packets in ascending sender order, the serial order, so the
-  // post-drain state is byte-identical.
+void SyncEngine::drain_phase() {
+  const auto& plan = config_.faults;
   const std::size_t n = fleet_->size();
-  // Counts land at [to + 2]; after the prefix sum [r + 1] is receiver r's
-  // start, and placing advances it to r's end, leaving [r, r + 1) = r's range.
+  // Without reorder or duplicate draws the delivery sequence is the present
+  // slots in ascending sender order, read straight off the wire.
+  const bool drawn = plan.reorder_prob > 0.0 || plan.duplicate_prob > 0.0;
+  if (drawn) draw_delivery_sequence();
+  const auto for_each_delivery = [&](auto&& deliver) {
+    if (drawn) {
+      for (const std::size_t from : drain_sequence_) deliver(from);
+      return;
+    }
+    for (NodeId i = 0; i < n; ++i) {
+      if (wire_present_[i] != 0) deliver(i);
+    }
+  };
+  // A receive writes only the receiver's rows, so delivery order matters only
+  // per receiver. A stable counting sort by receiver keeps each receiver's
+  // packets in sequence order. Counts land at [to + 2]; after the prefix sum
+  // [r + 1] is receiver r's start, and placing advances it to r's end,
+  // leaving [r, r + 1) = r's range.
   drain_offsets_.assign(n + 2, 0);
-  for (NodeId i = 0; i < n; ++i) {
-    if (wire_present_[i] != 0) ++drain_offsets_[wire_[i].to + 2];
-  }
+  for_each_delivery([&](std::size_t from) { ++drain_offsets_[wire_[from].to + 2]; });
   for (std::size_t r = 2; r < n + 2; ++r) drain_offsets_[r] += drain_offsets_[r - 1];
-  drain_order_.resize(wire_count_);
-  for (NodeId i = 0; i < n; ++i) {
-    if (wire_present_[i] != 0) drain_order_[drain_offsets_[wire_[i].to + 1]++] = i;
-  }
+  drain_order_.resize(drain_offsets_[n + 1]);
+  for_each_delivery(
+      [&](std::size_t from) { drain_order_[drain_offsets_[wire_[from].to + 1]++] = from; });
+  // Each shard owns a contiguous receiver block.
   const std::size_t shards = std::min(shards_, n);
   std::vector<std::size_t> local_deliveries(shards, 0);
   parallel_for_index(shards, shards, [&](std::size_t s) {
@@ -581,37 +589,25 @@ void SyncEngine::drain_phase_sharded() {
 
 void SyncEngine::dispatch_send_phase() {
   const auto& plan = config_.faults;
+  // Any reorder probability routes packets through the wire even in
+  // sequential mode — reordering needs the full round's packets in hand.
   const bool via_wire = config_.delivery == Delivery::kCrossing || plan.reorder_prob > 0.0;
   if (via_wire && wire_.empty()) {
     wire_.resize(fleet_->size());
     wire_present_.assign(fleet_->size(), 0);
   }
-  // Sharding needs a send loop with no shared-RNG draws (loss/flip) and no
-  // cross-node state mutation (immediate delivery).
-  const bool sharded = shards_ > 1 && fleet_->size() > 1 && via_wire &&
-                       plan.message_loss_prob == 0.0 && plan.bit_flip_prob == 0.0;
   core::dispatch(config_.algorithm, [&](auto a) {
-    if (sharded) {
-      send_phase_sharded<decltype(a)::value>();
+    if (via_wire) {
+      wire_send_phase<decltype(a)::value>();
     } else {
-      send_phase<decltype(a)::value>();
+      immediate_send_phase<decltype(a)::value>();
     }
   });
 }
 
 void SyncEngine::dispatch_drain_phase() {
   if (wire_count_ == 0) return;
-  const auto& plan = config_.faults;
-  // Sharding needs a drain with no per-delivery fault_rng_ draws.
-  const bool sharded = shards_ > 1 && wire_count_ > 1 && plan.duplicate_prob == 0.0 &&
-                       plan.reorder_prob == 0.0;
-  core::dispatch(config_.algorithm, [&](auto a) {
-    if (sharded) {
-      drain_phase_sharded<decltype(a)::value>();
-    } else {
-      drain_phase<decltype(a)::value>();
-    }
-  });
+  core::dispatch(config_.algorithm, [&](auto a) { drain_phase<decltype(a)::value>(); });
   std::fill(wire_present_.begin(), wire_present_.end(), std::uint8_t{0});
   wire_count_ = 0;
 }

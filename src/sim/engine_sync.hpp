@@ -58,12 +58,13 @@ struct SyncEngineConfig {
   std::uint64_t seed = 1;
   Delivery delivery = Delivery::kSequential;
   EngineMode mode = EngineMode::kArena;  ///< source compatibility only
-  /// Shard the round loop over up to this many worker threads
-  /// (0 = hardware concurrency, 1 = serial). Sharding engages only
-  /// for the phases the fault model keeps node-disjoint (wire-routed sends
-  /// with no per-packet loss/flip draws; drains with no duplicate/reorder
-  /// draws) — everything else runs serially, so the engine output is
-  /// byte-identical for every shard count.
+  /// Shard the wire round over up to this many worker threads
+  /// (0 = hardware concurrency, 1 = serial). Every wire send and every drain
+  /// is sharded, whatever the fault knobs; the fault_rng_ draws run in
+  /// serial passes between the sharded loops, in the serial order, so the
+  /// engine output is byte-identical for every shard count. Immediate
+  /// sequential delivery (no wire) stays serial: each delivery feeds a later
+  /// send of the same round.
   std::size_t shards = 1;
   InvariantConfig invariants;  ///< runtime invariant checking (see invariants.hpp)
 };
@@ -214,17 +215,24 @@ class SyncEngine {
 
   // Round phases, templated on the algorithm so the fleet's flat-array send
   // and receive inline (the devirtualized hot path); dispatch_* pick the
-  // instantiation through core::dispatch. The *_sharded variants split the
-  // node range into `shards_` contiguous blocks; every sender owns its wire
-  // slot, so the result is byte-identical to the serial phase.
+  // instantiation through core::dispatch. The wire phases split the node
+  // range into `shards_` contiguous blocks (one shard is the serial loop):
+  // a sender owns its wire slot and a receive writes only the receiver's
+  // rows, while every fault_rng_ draw runs in a serial pass in the order a
+  // serial loop would make it.
+  /// Whether `out` cannot arrive: its link is dead or its receiver crashed.
+  [[nodiscard]] bool transport_drops(const core::ArenaFleet::Send& out) const;
+  /// Loss, then bit-flip draws for one packet on a live link. False if lost.
+  bool survives_transport_faults(core::Packet& packet);
   template <core::Algorithm A>
-  void send_phase();
+  void immediate_send_phase();
   template <core::Algorithm A>
-  void send_phase_sharded();
+  void wire_send_phase();
+  /// Fills drain_sequence_: the present senders in ascending order, with
+  /// the reorder select and shuffle and each duplicate entered twice.
+  void draw_delivery_sequence();
   template <core::Algorithm A>
   void drain_phase();
-  template <core::Algorithm A>
-  void drain_phase_sharded();
   void dispatch_send_phase();
   void dispatch_drain_phase();
 
@@ -291,7 +299,8 @@ class SyncEngine {
   std::vector<std::uint8_t> wire_present_;
   std::size_t wire_count_ = 0;              // present slots
   std::vector<std::size_t> drain_offsets_;  // per-receiver ranges of drain_order_, reused
-  std::vector<std::size_t> drain_order_;    // senders in delivery order, reused
+  std::vector<std::size_t> drain_order_;    // senders grouped by receiver, reused
+  std::vector<std::size_t> drain_sequence_;  // drawn delivery sequence, reused
 };
 
 }  // namespace pcf::sim

@@ -178,7 +178,6 @@ std::string_view to_string(Rule rule) noexcept {
     case Rule::kD2: return "D2";
     case Rule::kD3: return "D3";
     case Rule::kD4: return "D4";
-    case Rule::kR1: return "R1";
     case Rule::kF1: return "F1";
     case Rule::kS1: return "S1";
     case Rule::kL1: return "L1";
@@ -198,8 +197,6 @@ std::string_view describe(Rule rule) noexcept {
       return "std random engines/distributions and <random> only inside src/support/rng";
     case Rule::kD4:
       return "no std::thread/jthread/async in deterministic paths — use support/parallel.hpp";
-    case Rule::kR1:
-      return "Reducer subclasses must declare on_link_down, on_link_up, update_data";
     case Rule::kF1:
       return "no `float` in src/{core,linalg}; no ==/!= against nonzero float literals";
     case Rule::kS1:
@@ -224,7 +221,7 @@ Rule parse_rule(std::string_view name) {
     if (upper == to_string(rule)) return rule;
   }
   throw ContractViolation("pcflow-lint: unknown rule '" + std::string(name) +
-                          "' (known: D1 D2 D3 D4 R1 F1 S1 L1 T1 LNT)");
+                          "' (known: D1 D2 D3 D4 F1 S1 L1 T1 LNT)");
 }
 
 std::vector<Diagnostic> lint_source(std::string_view virtual_path, std::string_view source,
@@ -364,7 +361,7 @@ int run_cli(int argc, const char* const* argv) {
     CliFlags flags;
     flags.define("root", std::string("."), "project root to scan (src/, bench/, examples/)");
     flags.define("rules", std::string{},
-                 "comma-separated rules to enable (default: all of D1,D2,D3,R1,F1,LNT)");
+                 "comma-separated rules to enable (default: all; see --list-rules)");
     flags.define("rule", std::string{}, "alias for --rules (merged with it)");
     flags.define("disable", std::string{}, "comma-separated rules to disable");
     flags.define("format", std::string("text"), "report format: text | json");

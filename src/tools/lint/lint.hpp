@@ -1,5 +1,5 @@
-// pcflow-lint — project-specific static analysis for determinism, RNG-stream
-// and reducer-protocol discipline.
+// pcflow-lint — project-specific static analysis for determinism, RNG-stream,
+// layering and lock-annotation discipline.
 //
 // The paper's claims (machine-precision accuracy, exact fault recovery) are
 // testable only because every engine run is bit-deterministic per seed: the
@@ -28,9 +28,6 @@
 //       support/parallel.hpp (resolve_thread_count + parallel_for_index),
 //       whose fixed work partition is what keeps sharded output
 //       byte-identical to serial. src/runtime owns its threads by design.
-//   R1  reducer-protocol conformance: every class deriving from Reducer must
-//       declare the full fault-hook set (on_link_down, on_link_up,
-//       update_data) so a new algorithm cannot silently inherit a no-op.
 //   F1  float discipline: no `float` in src/core / src/linalg numeric state;
 //       no ==/!= against nonzero floating literals outside oracle files
 //       (comparison against literal 0.0 is the sanctioned exact-sentinel
@@ -73,10 +70,10 @@
 
 namespace pcf::lint {
 
-enum class Rule { kD1, kD2, kD3, kD4, kR1, kF1, kS1, kL1, kT1, kLnt };
+enum class Rule { kD1, kD2, kD3, kD4, kF1, kS1, kL1, kT1, kLnt };
 
-inline constexpr Rule kAllRules[] = {Rule::kD1, Rule::kD2, Rule::kD3, Rule::kD4, Rule::kR1,
-                                     Rule::kF1, Rule::kS1, Rule::kL1, Rule::kT1, Rule::kLnt};
+inline constexpr Rule kAllRules[] = {Rule::kD1, Rule::kD2, Rule::kD3, Rule::kD4, Rule::kF1,
+                                     Rule::kS1, Rule::kL1, Rule::kT1, Rule::kLnt};
 
 [[nodiscard]] std::string_view to_string(Rule rule) noexcept;
 /// One-line human description used by --list-rules.

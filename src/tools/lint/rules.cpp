@@ -272,109 +272,6 @@ void rule_d4(std::string_view path, const std::vector<Token>& code,
   }
 }
 
-// ---------------------------------------------------------------- R1 -------
-
-/// The fault-hook set every Reducer subclass must declare explicitly. The
-/// base class gives on_link_up a benign no-op default — exactly the silent
-/// inheritance that would let a new algorithm pass the differential harness
-/// while ignoring recoveries, which is why declaration is mandatory.
-constexpr std::array<std::string_view, 3> kRequiredHooks = {"on_link_down", "on_link_up",
-                                                            "update_data"};
-
-/// Skips a balanced `<...>` template argument list starting at `i` (which
-/// must point at `<`). Returns the index one past the closing `>`. Treats
-/// `>>` as two closers (C++11 rule).
-[[nodiscard]] std::size_t skip_template_args(const std::vector<Token>& code, std::size_t i) {
-  int depth = 0;
-  while (i < code.size()) {
-    const Token& tok = code[i];
-    if (is_punct(tok, "<")) {
-      ++depth;
-    } else if (is_punct(tok, ">")) {
-      if (--depth == 0) return i + 1;
-    } else if (is_punct(tok, ">>")) {
-      depth -= 2;
-      if (depth <= 0) return i + 1;
-    } else if (is_punct(tok, ";") || is_punct(tok, "{")) {
-      return i;  // malformed; bail out without consuming the body
-    }
-    ++i;
-  }
-  return i;
-}
-
-void rule_r1(std::string_view path, const std::vector<Token>& code,
-             std::vector<Diagnostic>& out) {
-  for (std::size_t i = 0; i + 1 < code.size(); ++i) {
-    if (!(is_ident(code[i], "class") || is_ident(code[i], "struct"))) continue;
-    if (i > 0 && is_ident(code[i - 1], "enum")) continue;
-    std::size_t j = i + 1;
-    if (j >= code.size() || code[j].kind != TokenKind::kIdentifier) continue;
-    const Token& name = code[j];
-    ++j;
-    if (j < code.size() && is_ident(code[j], "final")) ++j;
-    if (j >= code.size() || !is_punct(code[j], ":")) continue;  // no base clause
-    ++j;
-
-    // Walk the base-specifier list up to `{`; find whether any base's
-    // terminal identifier (before its template args, after its qualifiers)
-    // is `Reducer`.
-    bool derives_reducer = false;
-    std::string_view last_ident;
-    while (j < code.size() && !is_punct(code[j], "{") && !is_punct(code[j], ";")) {
-      const Token& tok = code[j];
-      if (tok.kind == TokenKind::kIdentifier) {
-        last_ident = tok.text;
-        ++j;
-      } else if (is_punct(tok, "<")) {
-        j = skip_template_args(code, j);
-        last_ident = {};  // a template base's own args are not the base name
-      } else if (is_punct(tok, ",")) {
-        if (last_ident == "Reducer") derives_reducer = true;
-        last_ident = {};
-        ++j;
-      } else {
-        ++j;
-      }
-    }
-    if (last_ident == "Reducer") derives_reducer = true;
-    if (!derives_reducer || j >= code.size() || !is_punct(code[j], "{")) continue;
-
-    // Collect `ident (` declarators at class-body depth 1.
-    std::vector<std::string_view> declared;
-    int depth = 0;
-    std::size_t k = j;
-    for (; k < code.size(); ++k) {
-      if (is_punct(code[k], "{")) {
-        ++depth;
-      } else if (is_punct(code[k], "}")) {
-        if (--depth == 0) break;
-      } else if (depth == 1 && code[k].kind == TokenKind::kIdentifier && k + 1 < code.size() &&
-                 is_punct(code[k + 1], "(")) {
-        declared.push_back(code[k].text);
-      }
-    }
-
-    std::vector<std::string_view> missing;
-    for (const auto hook : kRequiredHooks) {
-      if (std::find(declared.begin(), declared.end(), hook) == declared.end()) {
-        missing.push_back(hook);
-      }
-    }
-    if (!missing.empty()) {
-      std::ostringstream os;
-      os << "class `" << name.text << "` derives from Reducer but does not declare ";
-      for (std::size_t m = 0; m < missing.size(); ++m) {
-        os << (m ? ", " : "") << missing[m];
-      }
-      os << " — a silently inherited no-op fault hook would pass the differential harness "
-            "while ignoring faults";
-      emit(out, path, name, Rule::kR1, os.str());
-    }
-    i = k;  // resume after the class body
-  }
-}
-
 // ---------------------------------------------------------------- F1 -------
 
 /// True for floating-point literals (contains '.', a decimal exponent, or a
@@ -553,6 +450,28 @@ void rule_l1(std::string_view path, const std::vector<Token>& code,
 }
 
 // ---------------------------------------------------------------- T1 -------
+
+/// Skips a balanced `<...>` template argument list starting at `i` (which
+/// must point at `<`). Returns the index one past the closing `>`. Treats
+/// `>>` as two closers (C++11 rule).
+[[nodiscard]] std::size_t skip_template_args(const std::vector<Token>& code, std::size_t i) {
+  int depth = 0;
+  while (i < code.size()) {
+    const Token& tok = code[i];
+    if (is_punct(tok, "<")) {
+      ++depth;
+    } else if (is_punct(tok, ">")) {
+      if (--depth == 0) return i + 1;
+    } else if (is_punct(tok, ">>")) {
+      depth -= 2;
+      if (depth <= 0) return i + 1;
+    } else if (is_punct(tok, ";") || is_punct(tok, "{")) {
+      return i;  // malformed; bail out without consuming the body
+    }
+    ++i;
+  }
+  return i;
+}
 
 /// T1 scope: the concurrent runtime plus the one concurrent support header.
 [[nodiscard]] bool is_t1_path(std::string_view path) {
@@ -735,7 +654,6 @@ void run_rules(std::string_view path, const std::vector<Token>& code, const Opti
   if (options.rule_enabled(Rule::kD2)) rule_d2(path, code, out);
   if (options.rule_enabled(Rule::kD3)) rule_d3(path, code, out);
   if (options.rule_enabled(Rule::kD4)) rule_d4(path, code, out);
-  if (options.rule_enabled(Rule::kR1)) rule_r1(path, code, out);
   if (options.rule_enabled(Rule::kF1)) rule_f1(path, code, out);
   if (options.rule_enabled(Rule::kS1)) rule_s1(path, code, out);
   if (options.rule_enabled(Rule::kL1)) rule_l1(path, code, out);

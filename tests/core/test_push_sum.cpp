@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <memory>
 
 #include "net/topology.hpp"
-#include "net/tree_schedule.hpp"
 #include "sim/engine_sync.hpp"
 #include "test_util.hpp"
 
@@ -52,12 +50,7 @@ TEST(PushSum, IgnoresPacketsFromStrangers) {
   for (const Algorithm algorithm :
        {Algorithm::kPushSum, Algorithm::kPushFlow, Algorithm::kPushCancelFlow,
         Algorithm::kFlowUpdating, Algorithm::kCorrectionAllreduce, Algorithm::kFuMassHybrid}) {
-    ReducerConfig config;
-    if (needs_tree_schedule(algorithm)) {
-      config.tree = std::make_shared<const net::TreeSchedule>(
-          net::build_tree_schedule(t, config.tree_kind));
-    }
-    ArenaFleet fleet(algorithm, config, t, masses);
+    ArenaFleet fleet(algorithm, ReducerConfig{}, t, masses);
     const auto flows_of_node0 = [&] {
       std::array<Mass, ArenaFleet::kMaxFlowSlots> slots{};
       const std::size_t count = fleet.flows_toward(0, 1, slots);

@@ -39,7 +39,7 @@ constexpr const char* kFixtureDir = PCF_LINT_FIXTURE_DIR;
 
 TEST(LintFixtures, WholeTreeMatchesAnnotations) {
   const RunResult result = run_directory(kFixtureDir);
-  EXPECT_EQ(result.files_scanned, 14u);
+  EXPECT_EQ(result.files_scanned, 13u);
   const std::vector<std::string> expected = {
       "src/core/bad_clock.cpp:15:D1",      // std::time
       "src/core/bad_clock.cpp:16:D1",      // bare time( call
@@ -49,9 +49,6 @@ TEST(LintFixtures, WholeTreeMatchesAnnotations) {
       "src/core/bad_clock.cpp:20:D1",      // rand
       "src/core/bad_layering.cpp:4:L1",    // core includes sim/
       "src/core/bad_layering.cpp:5:L1",    // core includes runtime/
-      "src/core/bad_reducer.hpp:17:R1",    // ForgetfulReducer misses two hooks
-      "src/core/bad_reducer.hpp:37:R1",    // TreeishReducer misses update_data
-      "src/core/bad_reducer.hpp:43:R1",    // HybridishReducer misses on_link_up
       "src/core/bad_suppress.cpp:7:LNT",   // allow without reason
       "src/core/bad_suppress.cpp:8:D1",    // ...so the D1 still fires
       "src/core/bad_suppress.cpp:9:LNT",   // allow names unknown rule D9
@@ -102,7 +99,7 @@ TEST(LintFixtures, ReportIsByteDeterministic) {
   const std::string a = format_report(run_directory(kFixtureDir));
   const std::string b = format_report(run_directory(kFixtureDir));
   EXPECT_EQ(a, b);
-  EXPECT_NE(a.find("pcflow-lint: 14 file(s) scanned, 46 diagnostic(s)"), std::string::npos) << a;
+  EXPECT_NE(a.find("pcflow-lint: 13 file(s) scanned, 43 diagnostic(s)"), std::string::npos) << a;
 }
 
 // ------------------------------------------------------------- scoping -----
@@ -202,30 +199,6 @@ TEST(LintRules, D1NeverFiresInCommentsOrStrings) {
   EXPECT_TRUE(lint_keys("src/core/a.cpp",
                         "// calling std::rand() would break determinism\n"
                         "const char* kDoc = \"std::rand() is banned\";\n")
-                  .empty());
-}
-
-TEST(LintRules, R1SeesThroughFinalAndTemplateBases) {
-  // `final`, access specifiers and a template base before Reducer.
-  const std::string_view src =
-      "class Good final : public Mixin<int>, public Reducer {\n"
-      " public:\n"
-      "  void on_link_down(NodeId j) override;\n"
-      "  void on_link_up(NodeId j) override;\n"
-      "  void update_data(const Mass& d) override;\n"
-      "};\n"
-      "class Bad : public Reducer {\n"
-      "  void on_link_down(NodeId j) override;\n"
-      "};\n";
-  EXPECT_EQ(lint_keys("src/core/a.hpp", src),
-            (std::vector<std::string>{"src/core/a.hpp:7:R1"}));
-}
-
-TEST(LintRules, R1IgnoresNonReducerClasses) {
-  EXPECT_TRUE(lint_keys("src/core/a.hpp",
-                        "class A : public Widget {};\n"
-                        "class Reducer { void on_link_down(); };\n"  // the base itself
-                        "enum class Reducer2 : int {};\n")
                   .empty());
 }
 
@@ -387,8 +360,8 @@ TEST(LintJson, ReportIsByteDeterministicAndVersioned) {
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("\"schema\": \"pcflow-lint\""), std::string::npos);
   EXPECT_NE(a.find("\"schema_version\": 1"), std::string::npos);
-  EXPECT_NE(a.find("\"files_scanned\": 14"), std::string::npos);
-  EXPECT_NE(a.find("\"diagnostic_count\": 46"), std::string::npos);
+  EXPECT_NE(a.find("\"files_scanned\": 13"), std::string::npos);
+  EXPECT_NE(a.find("\"diagnostic_count\": 43"), std::string::npos);
   EXPECT_NE(a.find("\"rule\": \"L1\""), std::string::npos);
   EXPECT_NE(a.find("\"rule\": \"T1\""), std::string::npos);
   EXPECT_EQ(a.back(), '\n');
@@ -475,7 +448,7 @@ TEST(LintToggles, DisabledRuleDoesNotFire) {
 
 TEST(LintToggles, SuppressionForDisabledRuleIsNotFlaggedUnused) {
   Options no_d2;
-  no_d2.enabled = {Rule::kD1, Rule::kD3, Rule::kR1, Rule::kF1, Rule::kLnt};
+  no_d2.enabled = {Rule::kD1, Rule::kD3, Rule::kF1, Rule::kLnt};
   EXPECT_TRUE(lint_keys("src/core/a.cpp",
                         "// pcflow-lint: allow(D2) lookup-only cache\n"
                         "std::unordered_map<int, int> m;\n",
@@ -517,9 +490,9 @@ TEST(LintCli, ExitCodesMatchContract) {
 TEST(LintCli, RuleFilterFlagsWork) {
   const std::string root_flag = std::string("--root=") + kFixtureDir;
   {
-    // Only R1: the sole finding is in bad_reducer.hpp, so linting the RNG
+    // Only D2: its findings are all in bad_unordered.cpp, so linting the RNG
     // fixture is clean.
-    const char* argv[] = {"pcflow-lint", root_flag.c_str(), "--rules=R1", "--quiet",
+    const char* argv[] = {"pcflow-lint", root_flag.c_str(), "--rules=D2", "--quiet",
                           "src/sim/bad_rng.cpp"};
     EXPECT_EQ(run_cli(5, argv), 0);
   }
@@ -534,14 +507,14 @@ TEST(LintCli, RuleFilterFlagsWork) {
 TEST(LintCli, RuleSingularAliasMergesWithRules) {
   const std::string root_flag = std::string("--root=") + kFixtureDir;
   {
-    // --rule=R1 alone behaves exactly like --rules=R1.
-    const char* argv[] = {"pcflow-lint", root_flag.c_str(), "--rule=R1", "--quiet",
+    // --rule=D2 alone behaves exactly like --rules=D2.
+    const char* argv[] = {"pcflow-lint", root_flag.c_str(), "--rule=D2", "--quiet",
                           "src/sim/bad_rng.cpp"};
     EXPECT_EQ(run_cli(5, argv), 0);
   }
   {
     // Merged with --rules: D3 joins the enabled set, so the RNG fixture fires.
-    const char* argv[] = {"pcflow-lint", root_flag.c_str(), "--rules=R1", "--rule=D3",
+    const char* argv[] = {"pcflow-lint", root_flag.c_str(), "--rules=D2", "--rule=D3",
                           "--quiet", "src/sim/bad_rng.cpp"};
     EXPECT_EQ(run_cli(6, argv), 1);
   }
@@ -566,6 +539,9 @@ TEST(LintCli, ListRulesPinsTheCatalog) {
     EXPECT_GT(at, prev) << to_string(rule);
     prev = at;
   }
+  // Nine rules, one line each.
+  EXPECT_EQ(std::size(kAllRules), 9u);
+  EXPECT_EQ(static_cast<std::size_t>(std::count(out.begin(), out.end(), '\n')), 9u);
   EXPECT_NE(out.find("L1   layer DAG"), std::string::npos);
   EXPECT_NE(out.find("T1   members within 40 tokens"), std::string::npos);
   EXPECT_NE(out.find("LNT  suppression hygiene"), std::string::npos);

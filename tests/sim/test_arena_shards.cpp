@@ -1,9 +1,9 @@
 // Thread-count determinism: the sharded arena round loop must be
 // BYTE-identical to the serial one at every shard count. Every sender owns
 // one wire slot, so sharded sends fill the same wire the serial loop does;
-// sharded drains counting-sort the present slots by receiver (stable, =
-// serial delivery order per receiver). Anything observable — node state bits,
-// run counters, oracle error — must not depend on `shards`.
+// sharded drains counting-sort the round's delivery sequence by receiver
+// (stable, = serial delivery order per receiver). Anything observable — node
+// state bits, run counters, oracle error — must not depend on `shards`.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -91,10 +91,9 @@ TEST_P(ArenaShards, CrossingRunIsIdenticalAtEveryShardCount) {
   }
 }
 
-// Fault events force the engine in and out of the shardable fast path
-// (per-packet loss draws disable send sharding; the scheduled events run
-// serially between rounds). The merge must stay byte-faithful across the
-// transitions.
+// Scheduled fault events run serially between rounds and change which links
+// and nodes the sharded phases read. The merge must stay byte-faithful across
+// the transitions.
 TEST_P(ArenaShards, LifecycleFaultsStayIdenticalAcrossShardCounts) {
   const auto topology = net::Topology::grid2d(6, 6, /*wrap=*/true);
   FaultPlan plan;
@@ -165,30 +164,42 @@ TEST_P(ArenaShards, ChurnCrashAndRecoveryStayIdenticalAcrossShardCounts) {
   }
 }
 
-// Duplicates and reordering disable the sharded drain (their RNG draws are
-// inherently order-dependent); loss disables the sharded send. The dispatch
-// must fall back to the serial phases and still match shards=1 exactly.
-TEST_P(ArenaShards, AdversarialKnobsFallBackToSerialPhasesIdentically) {
+// Every transport fault draws from the one fault_rng_: loss and flips in a
+// serial pass after the sharded sends, duplicates and reordering in a serial
+// pass before the sharded drain, each in the order a serial loop draws them.
+// State flips draw before the sends. Any reorder probability routes
+// sequential delivery through the wire too.
+TEST_P(ArenaShards, TransportFaultsStayIdenticalAcrossShardCounts) {
   const auto topology = net::Topology::grid2d(5, 5, /*wrap=*/true);
   FaultPlan plan;
   plan.message_loss_prob = 0.05;
+  plan.bit_flip_prob = 0.02;
+  plan.state_flip_prob = 0.01;
   plan.duplicate_prob = 0.1;
   plan.reorder_prob = 0.1;
-  SyncEngine serial = make_arena_engine(topology, GetParam(), 1, plan, Delivery::kCrossing);
-  serial.run(25);
-  const auto expected = fingerprint(serial, topology);
+  for (const Delivery delivery : {Delivery::kCrossing, Delivery::kSequential}) {
+    SyncEngine serial = make_arena_engine(topology, GetParam(), 1, plan, delivery);
+    serial.run(25);
+    const auto expected = fingerprint(serial, topology);
+    ASSERT_GT(serial.stats().messages_flipped, 0u);
+    ASSERT_GT(serial.stats().messages_duplicated, 0u);
 
-  for (const std::size_t shards : {2u, 8u}) {
-    SyncEngine sharded = make_arena_engine(topology, GetParam(), shards, plan, Delivery::kCrossing);
-    sharded.run(25);
-    EXPECT_EQ(fingerprint(sharded, topology), expected) << "shards=" << shards;
-    EXPECT_EQ(sharded.stats().messages_duplicated, serial.stats().messages_duplicated);
-    EXPECT_EQ(sharded.stats().messages_dropped, serial.stats().messages_dropped);
+    for (const std::size_t shards : {2u, 4u, 8u}) {
+      SyncEngine sharded = make_arena_engine(topology, GetParam(), shards, plan, delivery);
+      sharded.run(25);
+      SCOPED_TRACE(::testing::Message() << "shards=" << shards << " crossing="
+                                        << (delivery == Delivery::kCrossing));
+      EXPECT_EQ(fingerprint(sharded, topology), expected);
+      EXPECT_EQ(sharded.stats().messages_duplicated, serial.stats().messages_duplicated);
+      EXPECT_EQ(sharded.stats().messages_dropped, serial.stats().messages_dropped);
+      EXPECT_EQ(sharded.stats().messages_flipped, serial.stats().messages_flipped);
+      EXPECT_EQ(sharded.stats().state_flips, serial.stats().state_flips);
+    }
   }
 }
 
-// Sequential delivery never uses the wire, so sharding must be a no-op there
-// too (the dispatcher routes it through the serial send phase).
+// Immediate sequential delivery never uses the wire, so sharding must be a
+// no-op there (the send loop is serial by construction).
 TEST_P(ArenaShards, SequentialDeliveryUnaffectedByShards) {
   const auto topology = net::Topology::grid2d(5, 5, /*wrap=*/true);
   SyncEngine serial = make_arena_engine(topology, GetParam(), 1, {}, Delivery::kSequential);
@@ -208,6 +219,8 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, ArenaShards,
                              case Algorithm::kPushFlow: return "pf";
                              case Algorithm::kPushCancelFlow: return "pcf";
                              case Algorithm::kFlowUpdating: return "fu";
+                             case Algorithm::kCorrectionAllreduce: return "corr";
+                             case Algorithm::kFuMassHybrid: return "fumd";
                            }
                            return "unknown";
                          });

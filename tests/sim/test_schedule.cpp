@@ -65,6 +65,17 @@ TEST(MatchingRunner, PcfConvergesOnHypercubeMatchings) {
   for (double e : runner.estimates()) EXPECT_LT(oracle.error_of(e), 1e-12);
 }
 
+TEST(MatchingSchedule, CorrectionAllreduceBuildsItsOwnTree) {
+  // A default ReducerConfig carries no tree schedule; the fleet resolves one
+  // from the topology and tree_kind.
+  const std::size_t n = 8;
+  const auto t = net::Topology::bus(n);
+  const auto masses = test::bus_case_study_masses(n);
+  MatchingScheduleRunner runner(t, masses, Algorithm::kCorrectionAllreduce, bus_matchings(n));
+  runner.run(200);
+  for (double e : runner.estimates()) EXPECT_NEAR(e, 2.0, 1e-10);
+}
+
 TEST(MatchingRunner, DeterministicNoRngInvolved) {
   const std::size_t n = 6;
   const auto t = net::Topology::bus(n);
