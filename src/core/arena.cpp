@@ -503,122 +503,74 @@ void ArenaFleet::reset_node(NodeId i, const Mass& initial) {
   }
 }
 
-namespace {
-void write_row(BinaryWriter& w, const double* r, std::size_t stride) {
-  for (std::size_t k = 0; k < stride; ++k) w.f64(r[k]);
-}
-void read_row(BinaryReader& r, double* out, std::size_t stride) {
-  for (std::size_t k = 0; k < stride; ++k) out[k] = r.f64();
-}
-}  // namespace
-
-void ArenaFleet::save_node(NodeId i, BinaryWriter& w) const {
-  const std::size_t base = offsets_[i];
-  const std::size_t deg = degree(i);
-  w.u64(deg);
-  for (std::size_t s = 0; s < deg; ++s) w.u8(alive_[base + s]);
-  switch (algorithm_) {
+template <class Io, class Self>
+void ArenaFleet::node_field_list(Io& io, Self& self, NodeId i) {
+  const std::size_t base = self.offsets_[i];
+  const std::size_t deg = self.degree(i);
+  std::uint64_t saved_degree = deg;
+  io.field(saved_degree);
+  io.require(saved_degree == deg, "arena checkpoint: node degree mismatch");
+  for (std::size_t s = 0; s < deg; ++s) io.flag(self.alive_[base + s]);
+  if constexpr (Io::kReading) {
+    std::uint32_t lc = 0;
+    for (std::uint32_t s = 0; s < deg; ++s) {
+      if (self.alive_[base + s] != 0) self.live_slots_[base + lc++] = s;
+    }
+    self.live_count_[i] = lc;
+  }
+  const auto row = [&](auto& rows, std::size_t index) {
+    io.row(self.row(rows, index), self.stride_);
+  };
+  switch (self.algorithm_) {
     case Algorithm::kPushSum:
-      write_row(w, row(mass_, i), stride_);
+      row(self.mass_, i);
       return;
     case Algorithm::kPushFlow:
-      write_row(w, row(initial_, i), stride_);  // mutable via update_data
-      for (std::size_t s = 0; s < deg; ++s) write_row(w, row(flows_, base + s), stride_);
-      if (config_.pf_cached_flow_sum) write_row(w, row(cached_, i), stride_);
+      row(self.initial_, i);  // mutable via update_data
+      for (std::size_t s = 0; s < deg; ++s) row(self.flows_, base + s);
+      if (self.config_.pf_cached_flow_sum) row(self.cached_, i);
       return;
     case Algorithm::kPushCancelFlow:
-      write_row(w, row(initial_, i), stride_);
+      row(self.initial_, i);
       for (std::size_t s = 0; s < deg; ++s) {
         const std::size_t e = base + s;
-        write_row(w, pcf_flow(e, 0), stride_);
-        write_row(w, pcf_flow(e, 1), stride_);
-        w.u8(active_[e]);
-        w.u64(cycle_[e]);
-        write_row(w, row(pending_, e), stride_);
+        io.row(self.pcf_flow(e, 0), self.stride_);
+        io.row(self.pcf_flow(e, 1), self.stride_);
+        io.field(self.active_[e]);
+        io.require(self.active_[e] <= 1, "arena checkpoint: active slot out of range");
+        io.field(self.cycle_[e]);
+        row(self.pending_, e);
       }
-      write_row(w, row(phi_, i), stride_);
-      w.u64(role_swaps_[i]);
+      row(self.phi_, i);
+      io.field(self.role_swaps_[i]);
       return;
     case Algorithm::kFlowUpdating:
     case Algorithm::kFuMassHybrid:
-      write_row(w, row(initial_, i), stride_);
+      row(self.initial_, i);
       for (std::size_t s = 0; s < deg; ++s) {
         const std::size_t e = base + s;
-        write_row(w, row(flows_, e), stride_);
-        write_row(w, row(estimates_, e), stride_);
-        w.u8(have_estimate_[e]);
+        row(self.flows_, e);
+        row(self.estimates_, e);
+        io.flag(self.have_estimate_[e]);
       }
       return;
     case Algorithm::kCorrectionAllreduce:
-      write_row(w, row(initial_, i), stride_);
+      row(self.initial_, i);
       for (std::size_t s = 0; s < deg; ++s) {
         const std::size_t e = base + s;
-        write_row(w, row(estimates_, e), stride_);
-        w.u8(have_estimate_[e]);
-        w.u8(child_[e]);
+        row(self.estimates_, e);
+        io.flag(self.have_estimate_[e]);
+        io.flag(self.child_[e]);
       }
-      write_row(w, row(global_, i), stride_);
-      w.u8(have_global_[i]);
+      row(self.global_, i);
+      io.flag(self.have_global_[i]);
       return;
   }
 }
 
-void ArenaFleet::load_node(NodeId i, BinaryReader& r) {
-  const std::size_t base = offsets_[i];
-  const std::size_t deg = degree(i);
-  if (r.u64() != deg) throw BinioError("arena checkpoint: node degree mismatch");
-  std::uint32_t lc = 0;
-  for (std::uint32_t s = 0; s < deg; ++s) {
-    alive_[base + s] = r.u8() ? 1 : 0;
-    if (alive_[base + s] != 0) live_slots_[base + lc++] = s;
-  }
-  live_count_[i] = lc;
-  switch (algorithm_) {
-    case Algorithm::kPushSum:
-      read_row(r, row(mass_, i), stride_);
-      return;
-    case Algorithm::kPushFlow:
-      read_row(r, row(initial_, i), stride_);
-      for (std::size_t s = 0; s < deg; ++s) read_row(r, row(flows_, base + s), stride_);
-      if (config_.pf_cached_flow_sum) read_row(r, row(cached_, i), stride_);
-      return;
-    case Algorithm::kPushCancelFlow:
-      read_row(r, row(initial_, i), stride_);
-      for (std::size_t s = 0; s < deg; ++s) {
-        const std::size_t e = base + s;
-        read_row(r, pcf_flow(e, 0), stride_);
-        read_row(r, pcf_flow(e, 1), stride_);
-        active_[e] = r.u8();
-        if (active_[e] > 1) throw BinioError("arena checkpoint: active slot out of range");
-        cycle_[e] = r.u64();
-        read_row(r, row(pending_, e), stride_);
-      }
-      read_row(r, row(phi_, i), stride_);
-      role_swaps_[i] = r.u64();
-      return;
-    case Algorithm::kFlowUpdating:
-    case Algorithm::kFuMassHybrid:
-      read_row(r, row(initial_, i), stride_);
-      for (std::size_t s = 0; s < deg; ++s) {
-        const std::size_t e = base + s;
-        read_row(r, row(flows_, e), stride_);
-        read_row(r, row(estimates_, e), stride_);
-        have_estimate_[e] = r.u8() ? 1 : 0;
-      }
-      return;
-    case Algorithm::kCorrectionAllreduce:
-      read_row(r, row(initial_, i), stride_);
-      for (std::size_t s = 0; s < deg; ++s) {
-        const std::size_t e = base + s;
-        read_row(r, row(estimates_, e), stride_);
-        have_estimate_[e] = r.u8() ? 1 : 0;
-        child_[e] = r.u8() ? 1 : 0;
-      }
-      read_row(r, row(global_, i), stride_);
-      have_global_[i] = r.u8() ? 1 : 0;
-      return;
-  }
-}
+void ArenaFleet::node_fields(BinaryWriter& w, NodeId i) const { node_field_list(w, *this, i); }
+
+void ArenaFleet::node_fields(BinaryReader& r, NodeId i) { node_field_list(r, *this, i); }
 
 double ArenaFleet::max_abs_flow_component(NodeId i) const noexcept {
   double best = 0.0;

@@ -234,15 +234,15 @@ class ArenaFleet {
   /// that accumulates increments from the corrupted value (the PCF fast
   /// variant's ϕ) — the paper's Section III-A caveat.
   bool corrupt_stored_flow(NodeId i, Rng& rng);
-  /// Checkpointing: dumps node i's mutable arena rows — per-edge liveness
-  /// plus the current algorithm's flat state spans — as raw IEEE-754 bits.
-  /// The CSR adjacency is topology-derived and not written; a round trip
-  /// through load_node is bit-exact. Format layout: DESIGN.md §8.
-  void save_node(NodeId i, BinaryWriter& w) const;
-  /// Restores rows written by save_node for the same topology/algorithm;
-  /// rebuilds the node's live-slot prefix. Throws BinioError on a degree
-  /// mismatch or truncation.
-  void load_node(NodeId i, BinaryReader& r);
+  /// Checkpointing: node i's mutable arena rows — per-edge liveness plus the
+  /// current algorithm's flat state spans, doubles as raw IEEE-754 bits —
+  /// written to `w` or read back from `r` through one field list
+  /// (node_field_list; layout: DESIGN.md §8). The CSR adjacency is
+  /// topology-derived and not written; a round trip is bit-exact. Reading
+  /// rebuilds the node's live-slot prefix and throws BinioError on a degree
+  /// mismatch, an active slot above 1 or truncation.
+  void node_fields(BinaryWriter& w, NodeId i) const;
+  void node_fields(BinaryReader& r, NodeId i);
   /// Rejoin support: restores node i to its factory-fresh post-init state in
   /// place — all slots alive, zeroed flow state, `initial` as the input mass.
   /// The node keeps its arena rows; rejoin never grows the arena.
@@ -332,6 +332,10 @@ class ArenaFleet {
   /// CORR only: slot of the (depth, id)-minimal live neighbor at strictly
   /// smaller static tree depth, or nullopt for a (fragment) root.
   [[nodiscard]] std::optional<std::size_t> correction_parent_slot(NodeId i) const noexcept;
+
+  /// The one field list behind node_fields: `self` is const when saving.
+  template <class Io, class Self>
+  static void node_field_list(Io& io, Self& self, NodeId i);
 
   void mark_dead_slot(NodeId i, std::size_t slot) noexcept;
   void mark_alive_slot(NodeId i, std::size_t slot) noexcept;

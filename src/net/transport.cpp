@@ -39,7 +39,7 @@ std::string encode_frame(const DataFrame& frame) {
   w.u32(frame.from);
   w.u32(frame.to);
   w.u64(frame.seq);
-  core::write_packet(w, frame.packet);
+  core::packet_fields(w, frame.packet);
   return seal_frame(std::move(w));
 }
 
@@ -83,7 +83,7 @@ Frame decode_frame(std::string_view bytes) {
         frame.data.from = r.u32();
         frame.data.to = r.u32();
         frame.data.seq = r.u64();
-        frame.data.packet = core::read_packet(r);
+        core::packet_fields(r, frame.data.packet);
         break;
       case static_cast<std::uint8_t>(FrameKind::kHeartbeat):
         frame.kind = FrameKind::kHeartbeat;

@@ -334,37 +334,47 @@ class ShardProcess {
 
   // ---- checkpoint / restore / result ------------------------------------
 
+  /// The shard checkpoint's one field list: write_checkpoint runs it with a
+  /// BinaryWriter, try_restore with a BinaryReader, which requires the magic,
+  /// the version, this shard and this shard's node list.
+  template <class Io>
+  void checkpoint_fields(Io& io, std::uint64_t& next_step) {
+    io.tag(kCkptMagic, "socket checkpoint: bad magic");
+    std::uint32_t version = kNetFileVersion;
+    io.field(version);
+    io.require(version == kNetFileVersion, "socket checkpoint: version skew");
+    std::uint32_t shard = shard_;
+    io.field(shard);
+    io.require(shard == shard_, "socket checkpoint: another shard's file");
+    std::uint32_t epoch = epoch_;
+    io.field(epoch);  // the writer's epoch — superseded by this incarnation's
+    io.field(next_step);
+    std::uint64_t locals = local_nodes_.size();
+    io.field(locals);
+    io.require(locals == local_nodes_.size(), "socket checkpoint: node count mismatch");
+    for (std::size_t k = 0; k < local_nodes_.size(); ++k) {
+      net::NodeId node = local_nodes_[k];
+      io.field(node);
+      io.require(node == local_nodes_[k], "socket checkpoint: node list mismatch");
+      rng_fields(io, rngs_[k]);
+      io.nested([&](auto& state) { fleet_.node_fields(state, node); });
+    }
+    const auto link_seq = [&](auto& link, auto& seq) {
+      io.field(link.first);
+      io.field(link.second);
+      io.field(seq);
+    };
+    io.mapping(tx_seq_, 16, link_seq);
+    // A restore runs before the RX thread exists, but the lock keeps the
+    // guarded-by contract compiler-checkable instead of special-cased.
+    MutexLock lock(rx_mutex_);
+    io.mapping(rx_seq_, 16, link_seq);
+    for (std::uint32_t& e : peer_epoch_) io.field(e);
+  }
+
   void write_checkpoint(std::uint64_t next_step) {
     BinaryWriter w;
-    w.raw(kCkptMagic.data(), kCkptMagic.size());
-    w.u32(kNetFileVersion);
-    w.u32(shard_);
-    w.u32(epoch_);
-    w.u64(next_step);
-    w.u64(local_nodes_.size());
-    for (std::size_t k = 0; k < local_nodes_.size(); ++k) {
-      w.u32(local_nodes_[k]);
-      for (const std::uint64_t word : rngs_[k].state()) w.u64(word);
-      BinaryWriter state;
-      fleet_.save_node(local_nodes_[k], state);
-      w.str(state.buffer());
-    }
-    w.u64(tx_seq_.size());
-    for (const auto& [key, seq] : tx_seq_) {
-      w.u32(key.first);
-      w.u32(key.second);
-      w.u64(seq);
-    }
-    {
-      MutexLock lock(rx_mutex_);
-      w.u64(rx_seq_.size());
-      for (const auto& [key, seq] : rx_seq_) {
-        w.u32(key.first);
-        w.u32(key.second);
-        w.u64(seq);
-      }
-      for (const std::uint32_t e : peer_epoch_) w.u32(e);
-    }
+    checkpoint_fields(w, next_step);
     write_file_atomic(ckpt_path(config_.run_dir, shard_), std::move(w));
   }
 
@@ -377,42 +387,12 @@ class ShardProcess {
     if (body.empty()) return 0;
     try {
       BinaryReader r(body);
-      if (r.raw(kCkptMagic.size()) != kCkptMagic) return 0;
-      if (r.u32() != kNetFileVersion) return 0;
-      if (r.u32() != shard_) return 0;
-      (void)r.u32();  // writer epoch — superseded by this incarnation's
-      const std::uint64_t next_step = r.u64();
-      if (r.u64() != local_nodes_.size()) return 0;
-      for (std::size_t k = 0; k < local_nodes_.size(); ++k) {
-        if (r.u32() != local_nodes_[k]) return 0;
-        std::array<std::uint64_t, 4> rng_state{};
-        for (auto& word : rng_state) word = r.u64();
-        rngs_[k].set_state(rng_state);
-        BinaryReader state(r.str());
-        fleet_.load_node(local_nodes_[k], state);
-      }
-      const std::size_t tx_entries = r.count(16);
-      for (std::size_t e = 0; e < tx_entries; ++e) {
-        const net::NodeId from = r.u32();
-        const net::NodeId to = r.u32();
-        tx_seq_[{from, to}] = r.u64();
-      }
-      const std::size_t rx_entries = r.count(16);
-      {
-        // Runs before the RX thread exists, but the lock keeps the guarded-by
-        // contract compiler-checkable instead of special-cased.
-        MutexLock lock(rx_mutex_);
-        for (std::size_t e = 0; e < rx_entries; ++e) {
-          const net::NodeId from = r.u32();
-          const net::NodeId to = r.u32();
-          rx_seq_[{from, to}] = r.u64();
-        }
-        for (auto& e : peer_epoch_) e = r.u32();
-      }
+      std::uint64_t next_step = 0;
+      checkpoint_fields(r, next_step);
       r.expect_end();
       return next_step;
     } catch (const BinioError&) {
-      return 0;  // torn or stale checkpoint: start fresh
+      return 0;  // torn, stale or another shard's checkpoint: start fresh
     }
   }
 
@@ -458,7 +438,8 @@ class ShardProcess {
     for (std::size_t k = 0; k < local_nodes_.size(); ++k) {
       w.u32(local_nodes_[k]);
       w.f64(fleet_.estimate(local_nodes_[k]));
-      core::write_mass(w, fleet_.local_mass(local_nodes_[k]));
+      const core::Mass mass = fleet_.local_mass(local_nodes_[k]);
+      core::mass_fields(w, mass);
     }
     write_file_atomic(result_path(config_.run_dir, shard_), std::move(w));
   }
@@ -532,7 +513,7 @@ bool parse_result(const std::string& dir, std::uint32_t shard, std::size_t num_s
     for (std::size_t k = 0; k < locals; ++k) {
       report.nodes.push_back(r.u32());
       report.estimates.push_back(r.f64());
-      report.masses.push_back(core::read_mass(r));
+      core::mass_fields(r, report.masses.emplace_back());
     }
     r.expect_end();
     report.produced = true;

@@ -145,6 +145,10 @@ class AsyncEngine {
     }
   };
 
+  /// The checkpoint body's one field list (sim/checkpoint.cpp): save runs it
+  /// on a const engine with a BinaryWriter, restore with a BinaryReader.
+  template <class Io, class Self>
+  static void checkpoint_fields(Io& io, Self& self, CheckpointMode mode);
   void push(Event e);
   void handle(const Event& e);
   void schedule_tick(NodeId node);

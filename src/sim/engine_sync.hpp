@@ -200,6 +200,10 @@ class SyncEngine {
 
  private:
   struct View;
+  /// The checkpoint body's one field list (sim/checkpoint.cpp): save runs it
+  /// on a const engine with a BinaryWriter, restore with a BinaryReader.
+  template <class Io, class Self>
+  static void checkpoint_fields(Io& io, Self& self);
   void check_invariants(bool force);
   void process_due_faults();
   void fail_link(NodeId a, NodeId b, double physical_time, bool independent);

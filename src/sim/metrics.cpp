@@ -59,19 +59,17 @@ Table Trace::to_table() const {
   return table;
 }
 
-
-void Oracle::save(BinaryWriter& w) const {
-  w.u64(numerators_.size());
-  for (const double v : numerators_) w.f64(v);
-  w.f64(total_weight_);
+template <class Io, class Self>
+void Oracle::field_list(Io& io, Self& self) {
+  std::uint64_t dim = self.numerators_.size();
+  io.field(dim);
+  io.require(dim == self.numerators_.size(), "oracle checkpoint: dimension mismatch");
+  for (auto& v : self.numerators_) io.field(v);
+  io.field(self.total_weight_);
 }
 
-void Oracle::load(BinaryReader& r) {
-  if (r.u64() != numerators_.size()) {
-    throw BinioError("oracle checkpoint: dimension mismatch");
-  }
-  for (double& v : numerators_) v = r.f64();
-  total_weight_ = r.f64();
-}
+void Oracle::fields(BinaryWriter& w) const { field_list(w, *this); }
+
+void Oracle::fields(BinaryReader& r) { field_list(r, *this); }
 
 }  // namespace pcf::sim

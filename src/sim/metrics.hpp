@@ -49,11 +49,14 @@ class Oracle {
   [[nodiscard]] double error_of(double estimate, std::size_t k = 0) const;
 
   /// Checkpointing: the conserved targets are mutated by retarget()/shift(),
-  /// so they are engine state and travel in checkpoints bit-exactly.
-  void save(BinaryWriter& w) const;
-  void load(BinaryReader& r);
+  /// so they are engine state and travel in checkpoints bit-exactly — written
+  /// to `w` or read back from `r` through one field list (field_list).
+  void fields(BinaryWriter& w) const;
+  void fields(BinaryReader& r);
 
  private:
+  template <class Io, class Self>
+  static void field_list(Io& io, Self& self);
   void compute(std::span<const core::Mass> masses);
   std::vector<double> numerators_;  ///< Σ s[k] over the conserved mass
   double total_weight_ = 0.0;       ///< Σ w

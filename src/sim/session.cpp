@@ -12,6 +12,29 @@ namespace {
 /// blob inside carries the same version, so they bump together.
 constexpr std::string_view kSessionMagic{"PCFSESS\0", 8};
 
+/// The prelude's one field list. Save passes the session's members; restore
+/// passes staging copies sized like them, so the session keeps its state
+/// until the engine blob has restored.
+template <class Io, class Queries, class Current, class Seen, class Blob>
+void prelude_fields(Io& io, Queries& queries, Current& current, Seen& seen, Blob& engine_blob) {
+  io.tag(kSessionMagic, "not a pcflow session checkpoint");
+  std::uint32_t version = kCheckpointVersion;
+  io.field(version);
+  io.require(version == kCheckpointVersion, "unsupported session checkpoint version");
+  io.field(queries);
+  std::uint64_t nodes = current.size();
+  std::uint64_t dim = current.front().size();
+  io.field(nodes);
+  io.field(dim);
+  io.require(nodes == current.size() && dim == current.front().size(),
+             "session checkpoint node count or dimension mismatch");
+  for (auto& values : current) {
+    for (auto& v : values) io.field(v);
+  }
+  for (auto& n : seen) io.field(n);
+  io.field(engine_blob);
+}
+
 SyncEngineConfig engine_config(const SessionOptions& options) {
   SyncEngineConfig cfg;
   cfg.algorithm = options.algorithm;
@@ -131,49 +154,22 @@ void ReductionSession::heal_link(net::NodeId a, net::NodeId b) { engine_.heal_li
 
 std::string ReductionSession::save_checkpoint(CheckpointMode mode) const {
   BinaryWriter w;
-  w.raw(kSessionMagic.data(), kSessionMagic.size());
-  w.u32(kCheckpointVersion);
-  w.u64(queries_);
-  w.u64(current_.size());
-  w.u64(current_.front().size());
-  for (const auto& values : current_) {
-    for (double v : values) w.f64(v);
-  }
-  for (std::uint64_t n : seen_rejoins_) w.u64(n);
-  w.str(engine_.save_checkpoint(mode));
+  const std::string engine_blob = engine_.save_checkpoint(mode);
+  prelude_fields(w, queries_, current_, seen_rejoins_, engine_blob);
   return std::move(w).take();
 }
 
 void ReductionSession::restore(std::string_view checkpoint) {
-  BinaryReader r(checkpoint);
   std::size_t queries = 0;
-  std::vector<core::Values> current;
-  std::vector<std::uint64_t> seen;
+  std::vector<core::Values> current(current_.size(), core::Values(current_.front().size()));
+  std::vector<std::uint64_t> seen(current_.size());
   std::string_view engine_blob;
   try {
-    if (r.raw(kSessionMagic.size()) != kSessionMagic) {
-      throw CheckpointError("not a pcflow session checkpoint");
-    }
-    const std::uint32_t version = r.u32();
-    if (version != kCheckpointVersion) {
-      throw CheckpointError("unsupported session checkpoint version");
-    }
-    queries = static_cast<std::size_t>(r.u64());
-    const std::uint64_t nodes = r.u64();
-    const std::uint64_t dim = r.u64();
-    if (nodes != current_.size() || dim != current_.front().size()) {
-      throw CheckpointError("session checkpoint node count or dimension mismatch");
-    }
-    current.assign(current_.size(), core::Values(current_.front().size()));
-    for (auto& values : current) {
-      for (double& v : values) v = r.f64();
-    }
-    seen.resize(current_.size());
-    for (std::uint64_t& n : seen) n = r.u64();
-    engine_blob = r.str();
+    BinaryReader r(checkpoint);
+    prelude_fields(r, queries, current, seen, engine_blob);
     r.expect_end();
-  } catch (const BinioError&) {
-    throw CheckpointError("corrupt session checkpoint");
+  } catch (const BinioError& e) {
+    throw CheckpointError(std::string("corrupt session checkpoint: ") + e.what());
   }
   // Engine restore validates compatibility and throws before the session's
   // own state is touched.

@@ -8,14 +8,41 @@
 // corrupted, so every read is bounds-checked and throws BinioError instead of
 // reading past the end (the checkpoint layer converts that into a rejected
 // restore, see sim/checkpoint.hpp).
+//
+// Field vocabulary. A persisted structure lists its fields ONCE, as a
+// `template <class Io> ... (Io& io, ...)` function: save runs the list with a
+// BinaryWriter, restore with a BinaryReader, so the two directions cannot
+// drift apart (DESIGN.md §8). Both classes provide, with the same meaning:
+//   kReading               false for the writer, true for the reader
+//   field(x)               one scalar: an unsigned integer at its own width
+//                          (1, 4 or 8 bytes), a double as its IEEE-754 bits,
+//                          a bool as a 0/1 byte, a string as a length-prefixed
+//                          byte string (read back as a view into the input)
+//   flag(x)                a uint8 0/1 flag; the reader maps nonzero to 1
+//   row(p, n)              n doubles at p
+//   tag(bytes, what)       fixed bytes, e.g. a magic; the reader requires them
+//   sequence(v, min, each) the element count, then each(element); the reader
+//                          clears v, bounds the count by `min` bytes per
+//                          element and appends value-initialized elements
+//   mapping(m, min, each)  the same for a std::map, each(key, value); the
+//                          reader refuses a repeated key
+//   nested(each)           a length-prefixed sub-blob holding each(inner io);
+//                          the reader requires it consumed exactly
+//   require(ok, what)      a reader-only check: throws BinioError(what) when
+//                          !ok; the writer ignores it
+// Reader-only steps (rebuilding derived state) go under
+// `if constexpr (Io::kReading)` in the same list.
 #pragma once
 
 #include <bit>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 namespace pcf {
 
@@ -26,21 +53,22 @@ class BinioError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+namespace binio_detail {
+/// Unsigned integers travel at their own width; bool is not one of them.
+template <class T>
+concept WireUnsigned = std::unsigned_integral<T> && !std::same_as<T, bool> &&
+                       (sizeof(T) == 1 || sizeof(T) == 4 || sizeof(T) == 8);
+}  // namespace binio_detail
+
 /// Appends fixed-width little-endian fields to a growing byte buffer.
 class BinaryWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
+  static constexpr bool kReading = false;
 
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xffU));
-  }
-
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xffU));
-  }
-
+  void u8(std::uint8_t v) { field(v); }
+  void u32(std::uint32_t v) { field(v); }
+  void u64(std::uint64_t v) { field(v); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
   void boolean(bool v) { u8(v ? 1 : 0); }
 
   void raw(const void* data, std::size_t size) {
@@ -53,6 +81,46 @@ class BinaryWriter {
     buf_.append(s.data(), s.size());
   }
 
+  // ---- field vocabulary (see the file comment) ----
+
+  template <binio_detail::WireUnsigned T>
+  void field(T v) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xffU));
+    }
+  }
+  void field(bool v) { boolean(v); }
+  void field(double v) { f64(v); }
+  void field(std::string_view v) { str(v); }
+  void flag(std::uint8_t v) { u8(v); }
+
+  void row(const double* r, std::size_t n) {
+    for (std::size_t k = 0; k < n; ++k) f64(r[k]);
+  }
+
+  void tag(std::string_view bytes, const char* /*what*/) { raw(bytes.data(), bytes.size()); }
+
+  template <class Seq, class Each>
+  void sequence(const Seq& items, std::size_t /*min_element_bytes*/, Each&& each) {
+    u64(items.size());
+    for (const auto& item : items) each(item);
+  }
+
+  template <class Map, class Each>
+  void mapping(const Map& entries, std::size_t /*min_entry_bytes*/, Each&& each) {
+    u64(entries.size());
+    for (const auto& [key, value] : entries) each(key, value);
+  }
+
+  template <class Each>
+  void nested(Each&& each) {
+    BinaryWriter inner;
+    each(inner);
+    str(inner.buffer());
+  }
+
+  void require(bool /*ok*/, const char* /*what*/) const noexcept {}
+
   [[nodiscard]] const std::string& buffer() const noexcept { return buf_; }
   [[nodiscard]] std::string take() noexcept { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
@@ -64,31 +132,13 @@ class BinaryWriter {
 /// Cursor over a byte buffer; every read throws BinioError on truncation.
 class BinaryReader {
  public:
+  static constexpr bool kReading = true;
+
   explicit BinaryReader(std::string_view data) noexcept : data_(data) {}
 
-  [[nodiscard]] std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-
-  [[nodiscard]] std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(data_[pos_++])) << (8 * i);
-    }
-    return v;
-  }
-
-  [[nodiscard]] std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(data_[pos_++])) << (8 * i);
-    }
-    return v;
-  }
-
+  [[nodiscard]] std::uint8_t u8() { return read<std::uint8_t>(); }
+  [[nodiscard]] std::uint32_t u32() { return read<std::uint32_t>(); }
+  [[nodiscard]] std::uint64_t u64() { return read<std::uint64_t>(); }
   [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
 
   [[nodiscard]] bool boolean() {
@@ -124,6 +174,61 @@ class BinaryReader {
 
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
 
+  // ---- field vocabulary (see the file comment) ----
+
+  template <binio_detail::WireUnsigned T>
+  void field(T& v) {
+    v = read<T>();
+  }
+  void field(bool& v) { v = boolean(); }
+  /// One element of a std::vector<bool> (its proxy reference).
+  void field(std::vector<bool>::reference v) { v = boolean(); }
+  void field(double& v) { v = f64(); }
+  /// A view into the input: it lives as long as the input does.
+  void field(std::string_view& v) { v = str(); }
+  void flag(std::uint8_t& v) { v = u8() != 0 ? 1 : 0; }
+
+  void row(double* r, std::size_t n) {
+    for (std::size_t k = 0; k < n; ++k) r[k] = f64();
+  }
+
+  void tag(std::string_view bytes, const char* what) { require(raw(bytes.size()) == bytes, what); }
+
+  template <class Seq, class Each>
+  void sequence(Seq& items, std::size_t min_element_bytes, Each&& each) {
+    const std::size_t n = count(min_element_bytes);
+    items.clear();
+    items.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      typename Seq::value_type item{};
+      each(item);
+      items.push_back(std::move(item));
+    }
+  }
+
+  template <class Map, class Each>
+  void mapping(Map& entries, std::size_t min_entry_bytes, Each&& each) {
+    const std::size_t n = count(min_entry_bytes);
+    entries.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      typename Map::key_type key{};
+      typename Map::mapped_type value{};
+      each(key, value);
+      require(entries.emplace(std::move(key), std::move(value)).second, "binio: repeated map key");
+    }
+  }
+
+  template <class Each>
+  void nested(Each&& each) {
+    BinaryReader inner(str());
+    each(inner);
+    inner.expect_end();
+  }
+
+  void require(bool ok, const char* what) const {
+    if (!ok) throw BinioError(what);
+  }
+
   /// Throws unless the input was consumed exactly — trailing bytes mean the
   /// buffer is not what the writer produced.
   void expect_end() const {
@@ -133,6 +238,17 @@ class BinaryReader {
  private:
   void need(std::size_t n) const {
     if (n > remaining()) throw BinioError("binio: truncated input");
+  }
+
+  template <binio_detail::WireUnsigned T>
+  [[nodiscard]] T read() {
+    need(sizeof(T));
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      const auto byte = static_cast<std::uint8_t>(data_[pos_++]);
+      v = static_cast<T>(v | (static_cast<T>(byte) << (8 * i)));
+    }
+    return v;
   }
 
   std::string_view data_;

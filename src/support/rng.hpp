@@ -134,4 +134,17 @@ class Rng {
   std::array<std::uint64_t, 4> state_{};
 };
 
+/// Checkpoint field list of a generator (support/binio.hpp vocabulary): its
+/// four state words. The reader refuses the all-zero state, the one fixed
+/// point xoshiro256** can never leave.
+template <class Io, class R>
+void rng_fields(Io& io, R& rng) {
+  std::array<std::uint64_t, 4> state = rng.state();
+  for (std::uint64_t& word : state) io.field(word);
+  if constexpr (Io::kReading) {
+    io.require(state != std::array<std::uint64_t, 4>{}, "rng checkpoint: all-zero state");
+    rng.set_state(state);
+  }
+}
+
 }  // namespace pcf
