@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "support/binio.hpp"
 #include "test_util.hpp"
 
 namespace pcf::sim {
@@ -95,6 +96,41 @@ TEST(DistributedExtrema, ExactOnEveryTopology) {
       EXPECT_EQ(mn, ref.min) << spec;
       EXPECT_EQ(mx, ref.max) << spec;
     }
+  }
+}
+
+TEST(DistributedExtrema, PartialSpreadUnderLossIsPinned) {
+  // Too few rounds to finish, under message loss: every node's (min, max)
+  // depends on each target draw and each loss draw, in order. The pins fix
+  // that draw order, so a rewrite of the gossip loop cannot shift a stream.
+  struct Pin {
+    const char* spec;
+    std::size_t rounds;
+    double loss;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"ring:24", 3, 0.3, 0x00bf35901fcb7f66ULL},
+      {"hypercube:5", 2, 0.5, 0x0dcdc955de4e745dULL},
+      {"tree:20", 4, 0.0, 0xd950ff216c89c36bULL},
+  };
+  for (const Pin& pin : pins) {
+    Rng rng(3);
+    const auto t = net::Topology::parse(pin.spec, rng);
+    const auto values = test::random_values(t.size(), 19);
+    const auto ref = direct_stats(values);
+    SummaryOptions options;
+    options.seed = 23;
+    options.extrema_rounds = pin.rounds;
+    options.faults.message_loss_prob = pin.loss;
+    Fnv1a h;
+    bool partial = false;
+    for (const auto& [mn, mx] : distributed_extrema(t, values, options)) {
+      h.add_bits(mn).add_bits(mx);
+      partial = partial || mn != ref.min || mx != ref.max;
+    }
+    EXPECT_TRUE(partial) << pin.spec << ": the spread finished, so the pin shows no draw order";
+    EXPECT_EQ(h.value(), pin.hash) << pin.spec;
   }
 }
 
