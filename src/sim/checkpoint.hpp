@@ -63,7 +63,7 @@ class CheckpointError : public std::runtime_error {
 
 /// Parsed checkpoint header — inspect a blob without an engine.
 struct CheckpointInfo {
-  std::uint32_t version = 0;
+  std::uint32_t version = kCheckpointVersion;
   std::uint8_t engine_kind = 0;  ///< 1 = sync, 2 = async
   CheckpointMode mode = CheckpointMode::kFull;
   std::uint8_t algorithm = 0;    ///< core::Algorithm value

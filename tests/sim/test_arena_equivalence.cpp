@@ -17,6 +17,7 @@
 
 #include "sim/engine_sync.hpp"
 #include "sim/reduce.hpp"
+#include "support/binio.hpp"
 #include "test_util.hpp"
 
 namespace pcf::sim {
@@ -60,18 +61,10 @@ std::vector<std::uint64_t> fingerprint(const SyncEngine& engine, const net::Topo
   return fp;
 }
 
-/// FNV-1a over a stream of fingerprint words (fed byte-wise, little-endian).
-struct FnvChain {
-  std::uint64_t h = 1469598103934665603ULL;
-  void add(const std::vector<std::uint64_t>& words) {
-    for (const std::uint64_t v : words) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffU;
-        h *= 1099511628211ULL;
-      }
-    }
-  }
-};
+/// Feeds a stream of fingerprint words into an FNV-1a chain.
+void add_words(Fnv1a& chain, const std::vector<std::uint64_t>& words) {
+  for (const std::uint64_t v : words) chain.add(v);
+}
 
 /// One pinned run: the fingerprint chain plus every RunStats counter, the
 /// delivery count and the final oracle max error (as bits).
@@ -272,12 +265,12 @@ class ArenaEquivalence : public ::testing::TestWithParam<EquivCase> {
     cfg.delivery = delivery;
     cfg.invariants.enabled = true;
     SyncEngine engine(topology, masses, cfg);
-    FnvChain chain;
+    Fnv1a chain;
     for (std::size_t r = 0; r < 40; ++r) {
       engine.step();
-      chain.add(fingerprint(engine, topology));
+      add_words(chain, fingerprint(engine, topology));
     }
-    expect_matches_golden(observe(c.label, fixture, chain.h, engine));
+    expect_matches_golden(observe(c.label, fixture, chain.value(), engine));
   }
 };
 
@@ -320,9 +313,9 @@ TEST_P(ArenaEquivalence, IrregularTopologyConvergesIdentically) {
   cfg.invariants.enabled = true;
   SyncEngine engine(topology, masses, cfg);
   EXPECT_TRUE(engine.run_until_error(1e-9, 2000).reached_target);
-  FnvChain chain;
-  chain.add(fingerprint(engine, topology));
-  expect_matches_golden(observe(c.label, "irregular", chain.h, engine));
+  Fnv1a chain;
+  add_words(chain, fingerprint(engine, topology));
+  expect_matches_golden(observe(c.label, "irregular", chain.value(), engine));
 }
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, ArenaEquivalence, ::testing::ValuesIn(equiv_cases()),
@@ -378,12 +371,12 @@ TEST(ArenaRejoin, ChurnAndRepeatedRejoinsStayIdenticalToLegacy) {
   cfg.seed = 31;
   cfg.invariants.enabled = true;
   SyncEngine engine(topology, masses, cfg);
-  FnvChain chain;
+  Fnv1a chain;
   for (std::size_t r = 0; r < 70; ++r) {
     engine.step();
-    chain.add(fingerprint(engine, topology));
+    add_words(chain, fingerprint(engine, topology));
   }
-  expect_matches_golden(observe("fu", "churn-rejoin", chain.h, engine));
+  expect_matches_golden(observe("fu", "churn-rejoin", chain.value(), engine));
 }
 
 }  // namespace

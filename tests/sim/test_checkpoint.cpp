@@ -562,22 +562,9 @@ TEST(CheckpointGolden, FormatHashIsPinned) {
   auto engine = make_sync(net::Topology::ring(8), Algorithm::kPushCancelFlow, lifecycle_plan(), 7);
   engine.run(10);
   const std::string blob = engine.save_checkpoint(CheckpointMode::kFull);
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : blob) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
+  const std::uint64_t h = fnv1a(blob);
   EXPECT_EQ(h, 0xe78cbdad7b71a3a0ULL) << "checkpoint format drifted (blob is " << blob.size()
                        << " bytes) — bump kCheckpointVersion and re-pin this hash";
-}
-
-std::uint64_t fnv1a(const std::string& blob) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : blob) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 /// A PCF session on ring:8 under message loss, fresh from construction.
@@ -676,16 +663,12 @@ TEST(CheckpointGolden, AsyncStateFingerprintsArePinned) {
   };
   for (const AsyncGolden& golden : kGolden) {
     auto engine = make_async(net::Topology::ring(10), golden.algorithm, lifecycle_plan());
-    std::uint64_t chain = 1469598103934665603ULL;
+    Fnv1a chain;
     for (int t = 1; t <= 20; ++t) {
       engine.run_until(static_cast<double>(t));
-      const std::uint64_t fp = engine.state_fingerprint();
-      for (int i = 0; i < 8; ++i) {
-        chain ^= (fp >> (8 * i)) & 0xffU;
-        chain *= 1099511628211ULL;
-      }
+      chain.add(engine.state_fingerprint());
     }
-    EXPECT_EQ(chain, golden.chain) << core::to_string(golden.algorithm);
+    EXPECT_EQ(chain.value(), golden.chain) << core::to_string(golden.algorithm);
     EXPECT_EQ(engine.messages_delivered(), golden.delivered) << core::to_string(golden.algorithm);
   }
 }
