@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "core/extrema.hpp"
 #include "support/check.hpp"
 
 namespace pcf::sim {
@@ -83,11 +82,16 @@ std::vector<std::pair<double, double>> distributed_extrema(const net::Topology& 
                   "extrema gossip needs a connected topology");
     ecc = std::max(ecc, d);
   }
-  std::vector<core::ExtremaGossip> nodes(topology.size());
+  // Min/max gossip needs no mass conservation: the aggregate is idempotent
+  // and monotone, so each node keeps the smallest and largest values it has
+  // seen and pushes them to one uniformly drawn neighbor per round. Loss only
+  // delays, and duplicates and reordering would be harmless.
+  std::vector<double> mins(values.begin(), values.end());
+  std::vector<double> maxs(values.begin(), values.end());
   const Rng base(options.seed ^ 0xe87e5aULL);
   std::vector<Rng> rngs;
   for (net::NodeId i = 0; i < topology.size(); ++i) {
-    nodes[i].init(topology.neighbors(i), core::Mass::scalar(values[i], 1.0));
+    PCF_CHECK_MSG(!topology.neighbors(i).empty(), "node needs at least one neighbor");
     rngs.push_back(base.fork(i));
   }
   std::size_t rounds = options.extrema_rounds;
@@ -102,18 +106,19 @@ std::vector<std::pair<double, double>> distributed_extrema(const net::Topology& 
   Rng loss_rng(options.seed ^ 0x10575);
   for (std::size_t r = 0; r < rounds; ++r) {
     for (net::NodeId i = 0; i < topology.size(); ++i) {
-      auto out = nodes[i].make_message(rngs[i]);
-      if (!out) continue;
+      const auto nbrs = topology.neighbors(i);
+      const net::NodeId to = nbrs[static_cast<std::size_t>(rngs[i].below(nbrs.size()))];
       if (options.faults.message_loss_prob > 0.0 &&
           loss_rng.chance(options.faults.message_loss_prob)) {
-        continue;  // idempotent state: loss only delays
+        continue;
       }
-      nodes[out->to].on_receive(i, out->packet);
+      mins[to] = std::min(mins[to], mins[i]);
+      maxs[to] = std::max(maxs[to], maxs[i]);
     }
   }
   std::vector<std::pair<double, double>> result;
   result.reserve(topology.size());
-  for (const auto& node : nodes) result.emplace_back(node.current_min(), node.current_max());
+  for (std::size_t i = 0; i < mins.size(); ++i) result.emplace_back(mins[i], maxs[i]);
   return result;
 }
 
