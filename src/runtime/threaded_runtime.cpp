@@ -78,7 +78,6 @@ void ThreadedRuntime::worker(std::size_t worker_index, std::size_t steps_per_nod
 }
 
 void ThreadedRuntime::run(std::size_t steps_per_node) {
-  apply_pending_faults();  // events queued while idle take effect before step 0
   {
     const auto timer = perf_.time(PerfCounters::Phase::kRun);
     workers_active_.store(true, std::memory_order_release);
@@ -100,7 +99,6 @@ void ThreadedRuntime::run(std::size_t steps_per_node) {
     for (net::NodeId i = 0; i < fleet_->size(); ++i) delivered += drain_node(i);
     delivered_.fetch_add(delivered, std::memory_order_relaxed);
   }
-  apply_pending_faults();  // events queued mid-phase land at this boundary
   perf_.rounds += steps_per_node;
   perf_.deliveries = delivered_.load(std::memory_order_relaxed);
   perf_.mailbox_dropped = dropped_.load(std::memory_order_relaxed);
@@ -116,36 +114,6 @@ void ThreadedRuntime::run(std::size_t steps_per_node) {
   perf_.mailbox_blocked_pushes = blocked;
   perf_.mailbox_rejected_pushes = rejected;
   perf_.mailbox_high_watermark = watermark;
-}
-
-void ThreadedRuntime::queue_fault(net::NodeId a, net::NodeId b, bool heal) {
-  // Validate eagerly so a bad edge surfaces at the call site, not at the next
-  // phase boundary where the caller's stack is long gone.
-  PCF_CHECK_MSG(topology_.has_edge(a, b), "queue_fault: no such link");
-  MutexLock lock(pending_faults_mutex_);
-  pending_faults_.push_back({a, b, heal});
-}
-
-std::size_t ThreadedRuntime::pending_faults() const {
-  MutexLock lock(pending_faults_mutex_);
-  return pending_faults_.size();
-}
-
-void ThreadedRuntime::apply_pending_faults() {
-  std::vector<QueuedFault> events;
-  {
-    MutexLock lock(pending_faults_mutex_);
-    events.swap(pending_faults_);
-  }
-  // Workers are not active at either call site, so the immediate APIs'
-  // phase-boundary guard passes; redundant events are no-ops there already.
-  for (const QueuedFault& e : events) {
-    if (e.heal) {
-      heal_link(e.a, e.b);
-    } else {
-      fail_link(e.a, e.b);
-    }
-  }
 }
 
 void ThreadedRuntime::fail_link(net::NodeId a, net::NodeId b) {

@@ -25,7 +25,6 @@
 #include "net/link_set.hpp"
 #include "net/topology.hpp"
 #include "runtime/mailbox.hpp"
-#include "support/annotations.hpp"
 #include "support/perf.hpp"
 
 namespace pcf::runtime {
@@ -68,20 +67,6 @@ class ThreadedRuntime {
   /// fail_link — throws ContractViolation while workers are active.
   void heal_link(net::NodeId a, net::NodeId b);
 
-  /// Queues a link fault (heal = false: fail, true: heal) to be applied at
-  /// the next phase boundary. Unlike fail_link/heal_link this may be called
-  /// from any thread at any time — including while a run() phase is active —
-  /// so chaos-style drivers do not need to special-case the runtime's
-  /// phase discipline. Queued events are applied in queue order when the
-  /// current phase's workers have joined (and, if the runtime is idle, by the
-  /// next run() before its workers start). The edge must exist in the
-  /// topology; redundant events (failing a dead link, healing a live one) are
-  /// benign no-ops, exactly like the immediate APIs.
-  void queue_fault(net::NodeId a, net::NodeId b, bool heal);
-
-  /// Queued-but-unapplied fault count (test/observability hook).
-  [[nodiscard]] std::size_t pending_faults() const;
-
   [[nodiscard]] std::size_t size() const noexcept { return fleet_->size(); }
   [[nodiscard]] std::vector<double> estimates(std::size_t k = 0) const;
   [[nodiscard]] core::Mass total_mass() const;
@@ -107,7 +92,6 @@ class ThreadedRuntime {
   /// drains the worker's own shard while a destination box is full).
   void deliver(std::size_t worker_index, net::NodeId to, Envelope envelope,
                std::size_t& delivered);
-  void apply_pending_faults();  ///< caller guarantees workers are not active
 
   net::Topology topology_;
   RuntimeConfig config_;
@@ -126,13 +110,6 @@ class ThreadedRuntime {
   std::atomic<std::uint64_t> dropped_{0};  // bounded mode: envelopes shed after retry
   std::atomic<bool> workers_active_{false};
   PerfCounters perf_;  // phase-disciplined: written only while workers are down
-  struct QueuedFault {
-    net::NodeId a;
-    net::NodeId b;
-    bool heal;
-  };
-  mutable Mutex pending_faults_mutex_;
-  std::vector<QueuedFault> pending_faults_ PCF_GUARDED_BY(pending_faults_mutex_);
 };
 
 }  // namespace pcf::runtime

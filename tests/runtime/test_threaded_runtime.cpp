@@ -201,60 +201,6 @@ TEST(ThreadedRuntime, FailLinkWhileWorkersRunIsCheckedIllegal) {
   for (double e : rt.estimates()) EXPECT_LT(oracle.error_of(e), 1e-8);
 }
 
-TEST(ThreadedRuntime, QueueFaultAppliesAtNextPhaseBoundary) {
-  // Regression for the chaos-driver ergonomics: queue_fault may fire while a
-  // phase is active (where fail_link would throw ContractViolation) and the
-  // event lands at the phase boundary instead.
-  const auto t = net::Topology::ring(8);
-  const auto masses = random_masses(t.size(), Aggregate::kAverage, 11);
-  RuntimeConfig cfg;
-  cfg.num_threads = 2;
-  cfg.seed = 11;
-  ThreadedRuntime rt(t, masses, cfg);
-
-  std::thread phase([&rt] { rt.run(20000); });
-  while (!rt.workers_active()) std::this_thread::yield();
-  rt.queue_fault(0, 1, /*heal=*/false);  // mid-phase: no throw, just queued
-  phase.join();
-
-  // Applied when the phase's workers joined — before run() returned.
-  EXPECT_EQ(rt.pending_faults(), 0u);
-  EXPECT_EQ(rt.fleet().live_degree(0), 1u);
-  EXPECT_EQ(rt.fleet().live_degree(1), 1u);
-
-  // Queued while idle: applied by the next run() before its first step.
-  rt.queue_fault(0, 1, /*heal=*/true);
-  EXPECT_EQ(rt.pending_faults(), 1u);
-  rt.run(400);
-  EXPECT_EQ(rt.pending_faults(), 0u);
-  EXPECT_EQ(rt.fleet().live_degree(0), 2u);
-  const sim::Oracle oracle(masses);
-  for (double e : rt.estimates()) EXPECT_LT(oracle.error_of(e), 1e-8);
-}
-
-TEST(ThreadedRuntime, QueueFaultOrderAndRedundancySemantics) {
-  const auto t = net::Topology::ring(6);
-  const auto masses = random_masses(t.size(), Aggregate::kAverage, 12);
-  RuntimeConfig cfg;
-  cfg.num_threads = 2;
-  ThreadedRuntime rt(t, masses, cfg);
-
-  EXPECT_THROW(rt.queue_fault(0, 3, false), ContractViolation);  // not an edge
-
-  rt.queue_fault(0, 1, /*heal=*/false);
-  rt.queue_fault(0, 1, /*heal=*/true);   // applied in order: net effect = live
-  rt.queue_fault(2, 3, /*heal=*/true);   // healing a live link is a no-op
-  rt.queue_fault(4, 5, /*heal=*/false);
-  rt.queue_fault(4, 5, /*heal=*/false);  // failing a dead link is a no-op
-  EXPECT_EQ(rt.pending_faults(), 5u);
-  rt.run(100);
-  EXPECT_EQ(rt.pending_faults(), 0u);
-  EXPECT_EQ(rt.fleet().live_degree(0), 2u);
-  EXPECT_EQ(rt.fleet().live_degree(2), 2u);
-  EXPECT_EQ(rt.fleet().live_degree(4), 1u);
-  EXPECT_EQ(rt.fleet().live_degree(5), 1u);
-}
-
 TEST(ThreadedRuntime, BoundedMailboxesStillConverge) {
   // A tight per-node bound forces the backpressure path (try_push → drain own
   // shard → retry → drop); sheds show up as mailbox counters and the gossip
