@@ -104,28 +104,7 @@ SyncEngine::SyncEngine(net::Topology topology, std::span<const core::Mass> initi
   std::sort(config_.faults.link_heals.begin(), config_.faults.link_heals.end(), by_time);
   std::sort(config_.faults.node_rejoins.begin(), config_.faults.node_rejoins.end(), by_time);
   std::sort(config_.faults.false_detects.begin(), config_.faults.false_detects.end(), by_time);
-  for (const auto& f : config_.faults.link_failures) {
-    PCF_CHECK_MSG(topology.has_edge(f.a, f.b),
-                  "fault plan: no link " << f.a << "-" << f.b << " in topology");
-  }
-  for (const auto& c : config_.faults.node_crashes) {
-    PCF_CHECK_MSG(c.node < topology.size(), "fault plan: crash node out of range");
-  }
-  for (const auto& u : config_.faults.data_updates) {
-    PCF_CHECK_MSG(u.node < topology.size(), "fault plan: data update node out of range");
-  }
-  for (const auto& h : config_.faults.link_heals) {
-    PCF_CHECK_MSG(topology.has_edge(h.a, h.b),
-                  "fault plan: no link " << h.a << "-" << h.b << " to heal in topology");
-  }
-  for (const auto& r : config_.faults.node_rejoins) {
-    PCF_CHECK_MSG(r.node < topology.size(), "fault plan: rejoin node out of range");
-  }
-  for (const auto& e : config_.faults.false_detects) {
-    PCF_CHECK_MSG(topology.has_edge(e.a, e.b),
-                  "fault plan: no link " << e.a << "-" << e.b << " to falsely detect");
-    PCF_CHECK_MSG(e.clear_delay >= 0.0, "fault plan: negative false-detect clear delay");
-  }
+  validate_fault_plan(config_.faults, topology);
 
   if (config_.invariants.resolve_enabled()) {
     monitor_ = std::make_unique<InvariantMonitor>(config_.invariants);

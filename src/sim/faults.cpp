@@ -2,7 +2,34 @@
 
 #include <cstring>
 
+#include "support/check.hpp"
+
 namespace pcf::sim {
+
+void validate_fault_plan(const FaultPlan& plan, const net::Topology& topology) {
+  for (const auto& f : plan.link_failures) {
+    PCF_CHECK_MSG(topology.has_edge(f.a, f.b),
+                  "fault plan: no link " << f.a << "-" << f.b << " in topology");
+  }
+  for (const auto& c : plan.node_crashes) {
+    PCF_CHECK_MSG(c.node < topology.size(), "fault plan: crash node out of range");
+  }
+  for (const auto& u : plan.data_updates) {
+    PCF_CHECK_MSG(u.node < topology.size(), "fault plan: data update node out of range");
+  }
+  for (const auto& h : plan.link_heals) {
+    PCF_CHECK_MSG(topology.has_edge(h.a, h.b),
+                  "fault plan: no link " << h.a << "-" << h.b << " to heal in topology");
+  }
+  for (const auto& r : plan.node_rejoins) {
+    PCF_CHECK_MSG(r.node < topology.size(), "fault plan: rejoin node out of range");
+  }
+  for (const auto& e : plan.false_detects) {
+    PCF_CHECK_MSG(topology.has_edge(e.a, e.b),
+                  "fault plan: no link " << e.a << "-" << e.b << " to falsely detect");
+    PCF_CHECK_MSG(e.clear_delay >= 0.0, "fault plan: negative false-detect clear delay");
+  }
+}
 
 void flip_random_bit(Packet& packet, Rng& rng, bool any_bit) {
   // Candidate doubles: all value components and weights of both masses.

@@ -173,6 +173,12 @@ struct FaultPlan {
   }
 };
 
+/// Checks the plan against the topology it will run on: every scheduled
+/// event names a node of `topology` or one of its links, and no false detect
+/// clears before it fires. Throws ContractViolation on the first violation.
+/// Both engines call it at construction.
+void validate_fault_plan(const FaultPlan& plan, const net::Topology& topology);
+
 /// Flips one random bit of one randomly chosen payload double in `packet`.
 /// Honors `any_bit` (see FaultPlan::bit_flip_any_bit).
 void flip_random_bit(Packet& packet, Rng& rng, bool any_bit);

@@ -8,6 +8,8 @@
 #include <cstring>
 #include <utility>
 
+#include "support/check.hpp"
+
 namespace pcf::sim {
 namespace {
 
@@ -191,6 +193,32 @@ TEST(FaultPlan, LatestEventTimeSpansAllListsAndClearDelays) {
   // Churn is unscheduled and contributes nothing.
   plan.churn_fail_prob = 0.5;
   EXPECT_EQ(plan.latest_event_time(), 155.0);
+}
+
+TEST(FaultPlan, ValidationNamesOnlyNodesAndLinksOfTheTopology) {
+  const auto ring = net::Topology::ring(6);
+  FaultPlan ok;
+  ok.link_failures.push_back({1.0, 0, 1});
+  ok.node_crashes.push_back({1.0, 5});
+  ok.data_updates.push_back({1.0, 2, core::Mass::scalar(1.0, 0.0)});
+  ok.link_heals.push_back({2.0, 1, 0});
+  ok.node_rejoins.push_back({2.0, 5});
+  ok.false_detects.push_back({1.0, 3, 4, 0.0});
+  EXPECT_NO_THROW(validate_fault_plan(ok, ring));
+
+  // Each spoiled copy differs from `ok` in one event.
+  const auto expect_rejected = [&](auto&& spoil) {
+    FaultPlan bad = ok;
+    spoil(bad);
+    EXPECT_THROW(validate_fault_plan(bad, ring), ContractViolation);
+  };
+  expect_rejected([](FaultPlan& p) { p.link_failures[0].b = 3; });  // not a link
+  expect_rejected([](FaultPlan& p) { p.node_crashes[0].node = 6; });
+  expect_rejected([](FaultPlan& p) { p.data_updates[0].node = 6; });
+  expect_rejected([](FaultPlan& p) { p.link_heals[0].a = 4; });
+  expect_rejected([](FaultPlan& p) { p.node_rejoins[0].node = 100; });
+  expect_rejected([](FaultPlan& p) { p.false_detects[0].b = 0; });
+  expect_rejected([](FaultPlan& p) { p.false_detects[0].clear_delay = -1.0; });
 }
 
 TEST(FaultPlan, FieldCountIsPinned) {
