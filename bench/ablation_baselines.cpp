@@ -29,7 +29,7 @@ int run(int argc, char** argv) {
   for (std::size_t dims = 3; dims <= max_dims; dims += 3) {
     const auto topology = net::Topology::hypercube(dims);
     const auto values = random_inputs(topology.size(), seed);
-    const auto masses = initial_masses(values, core::Aggregate::kAverage);
+    const auto masses = sim::masses_from_values(values, core::Aggregate::kAverage);
 
     for (const auto algorithm :
          {core::Algorithm::kPushSum, core::Algorithm::kPushFlow,

@@ -29,7 +29,7 @@ int run(int argc, char** argv) {
   const auto updates = static_cast<std::size_t>(flags.get_int("updates"));
   const auto topology = net::Topology::hypercube(static_cast<std::size_t>(flags.get_int("dims")));
   const auto values = random_inputs(topology.size(), seed);
-  const auto masses = initial_masses(values, core::Aggregate::kAverage);
+  const auto masses = sim::masses_from_values(values, core::Aggregate::kAverage);
 
   // The drift plan: a random node's value steps by ±1 every `interval` rounds.
   Rng drift_rng(seed ^ 0xd21f7);

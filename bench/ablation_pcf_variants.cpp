@@ -34,7 +34,7 @@ int run(int argc, char** argv) {
   const auto dims = static_cast<std::size_t>(flags.get_int("dims"));
   const auto topology = net::Topology::hypercube(dims);
   const auto values = random_inputs(topology.size(), seed);
-  const auto masses = initial_masses(values, core::Aggregate::kAverage);
+  const auto masses = sim::masses_from_values(values, core::Aggregate::kAverage);
 
   Table table({"variant", "clean_best_error", "after_packet_flip_burst",
                "after_memory_flip_burst", "packet_flips", "memory_flips"});

@@ -24,7 +24,7 @@ int run(int argc, char** argv) {
   const auto rounds = static_cast<std::size_t>(flags.get_int("rounds"));
   const auto topology = net::Topology::hypercube(static_cast<std::size_t>(flags.get_int("dims")));
   const auto values = random_inputs(topology.size(), seed);
-  const auto masses = initial_masses(values, core::Aggregate::kAverage);
+  const auto masses = sim::masses_from_values(values, core::Aggregate::kAverage);
 
   Table table({"algorithm", "loss_prob", "flip_prob", "final_max_error", "dropped", "flipped"});
   const std::vector<core::Algorithm> algorithms{

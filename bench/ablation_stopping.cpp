@@ -26,7 +26,7 @@ int run(int argc, char** argv) {
   const auto patience = static_cast<std::size_t>(flags.get_int("patience"));
   const auto topology = net::Topology::hypercube(static_cast<std::size_t>(flags.get_int("dims")));
   const auto values = random_inputs(topology.size(), seed);
-  const auto masses = initial_masses(values, core::Aggregate::kAverage);
+  const auto masses = sim::masses_from_values(values, core::Aggregate::kAverage);
 
   Table table({"algorithm", "oracle_rounds", "local_rounds", "overhead",
                "true_error_at_local_stop"});

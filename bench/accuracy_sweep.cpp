@@ -33,7 +33,7 @@ void run_accuracy_sweep(core::Algorithm algorithm, const CliFlags& flags) {
         const auto topology = family.torus ? net::Topology::torus3d(side, side, side)
                                            : net::Topology::hypercube(exp);
         const auto values = random_inputs(topology.size(), seed + exp);
-        const auto masses = initial_masses(values, aggregate);
+        const auto masses = sim::masses_from_values(values, aggregate);
         sim::SyncEngineConfig config;
         config.algorithm = algorithm;
         config.seed = seed;

@@ -35,16 +35,6 @@ std::vector<double> random_inputs(std::size_t n, std::uint64_t seed) {
   return values;
 }
 
-std::vector<core::Mass> initial_masses(std::span<const double> values,
-                                       core::Aggregate aggregate) {
-  std::vector<core::Mass> masses;
-  masses.reserve(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    masses.push_back(core::Mass::scalar(values[i], core::initial_weight(aggregate, i)));
-  }
-  return masses;
-}
-
 void print_banner(const std::string& title, const std::string& paper_ref) {
   std::printf("== %s ==\n", title.c_str());
   std::printf("reproduces: %s\n", paper_ref.c_str());

@@ -14,6 +14,7 @@
 #include "net/topology.hpp"
 #include "sim/engine_sync.hpp"
 #include "sim/metrics.hpp"
+#include "sim/reduce.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 
@@ -44,10 +45,6 @@ struct AccuracyResult {
 
 /// Per-node uniform [0,1) inputs, seeded reproducibly.
 [[nodiscard]] std::vector<double> random_inputs(std::size_t n, std::uint64_t seed);
-
-/// Initial masses for the given inputs under the aggregate's weight layout.
-[[nodiscard]] std::vector<core::Mass> initial_masses(std::span<const double> values,
-                                                     core::Aggregate aggregate);
 
 /// Prints the standard bench banner.
 void print_banner(const std::string& title, const std::string& paper_ref);

@@ -50,7 +50,7 @@ void run_failure_trace(core::Algorithm algorithm, bool compare_with_pf, const Cl
 
   const auto topology = net::Topology::hypercube(dims);
   const auto values = random_inputs(topology.size(), seed);
-  const auto masses = initial_masses(values, core::Aggregate::kAverage);
+  const auto masses = sim::masses_from_values(values, core::Aggregate::kAverage);
 
   for (const double failure_round : {75.0, 175.0}) {
     std::printf("--- panel: failure handling after %.0f iterations ---\n", failure_round);

@@ -58,15 +58,10 @@ sim::FaultPlan make_chaos_faults(const ChaosCell& cell, const net::Topology& top
 }
 
 TrialOutcome run_chaos_trial(const ChaosCell& cell, std::uint64_t seed) {
-  // Same stream layout as `pcflow bench` and the CLI: topology from
-  // seed^0x7070, input data from seed^0xda7a, engine streams from the seed.
-  Rng topo_rng(seed ^ 0x7070ULL);
-  const auto topology = net::Topology::parse(cell.topology, topo_rng);
-
-  Rng data_rng(seed ^ 0xda7aULL);
-  std::vector<double> values(topology.size());
-  for (auto& v : values) v = data_rng.uniform();
-  const auto masses = sim::masses_from_values(values, core::Aggregate::kAverage);
+  // The same scenario as `pcflow bench` and the CLI; engine streams fork
+  // from the seed.
+  const auto [topology, masses] =
+      sim::seeded_scenario(cell.topology, seed, core::Aggregate::kAverage);
 
   sim::SyncEngineConfig config;
   config.algorithm = core::parse_algorithm(cell.algorithm);
@@ -146,12 +141,8 @@ sim::FaultPlan make_restore_faults(const ChaosRestoreCell& cell, const net::Topo
 }
 
 RestoreTrialOutcome run_restore_trial(const ChaosRestoreCell& cell, std::uint64_t seed) {
-  Rng topo_rng(seed ^ 0x7070ULL);
-  const auto topology = net::Topology::parse(cell.topology, topo_rng);
-  Rng data_rng(seed ^ 0xda7aULL);
-  std::vector<double> values(topology.size());
-  for (auto& v : values) v = data_rng.uniform();
-  const auto masses = sim::masses_from_values(values, core::Aggregate::kAverage);
+  const auto [topology, masses] =
+      sim::seeded_scenario(cell.topology, seed, core::Aggregate::kAverage);
 
   sim::SyncEngineConfig config;
   config.algorithm = core::parse_algorithm(cell.algorithm);

@@ -76,12 +76,8 @@ NetTrialReport run_net_trial(const NetTrialOptions& options) {
 
   // Same seed derivation as the pcflow CLI: a net trial and a simulator run
   // with equal seeds reduce the identical scenario.
-  Rng topo_rng(options.seed ^ 0x7070ULL);
-  net::Topology topology = net::Topology::parse(options.topology_spec, topo_rng);
-  Rng data_rng(options.seed ^ 0xda7aULL);
-  std::vector<double> values(topology.size());
-  for (auto& v : values) v = data_rng.uniform();
-  const std::vector<core::Mass> masses = sim::masses_from_values(values, options.aggregate);
+  const auto [topology, masses] =
+      sim::seeded_scenario(options.topology_spec, options.seed, options.aggregate);
 
   SocketRuntimeConfig config = options.runtime;
   config.algorithm = options.algorithm;
@@ -127,8 +123,8 @@ NetTrialReport run_net_trial(const NetTrialOptions& options) {
     session_options.reducer = options.reducer;
     session_options.seed = options.seed;
     session_options.target_accuracy = options.error_tol;
-    std::vector<core::Values> inputs(topology.size());
-    for (std::size_t i = 0; i < values.size(); ++i) inputs[i].push_back(values[i]);
+    std::vector<core::Values> inputs;  // each node's input value, as in its mass
+    for (const core::Mass& m : masses) inputs.push_back(m.s);
     sim::ReductionSession session(topology, inputs, session_options);
     const sim::SessionQueryResult cold = session.query(inputs);
     const sim::SessionQueryResult warm = session.refresh();

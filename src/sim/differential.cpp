@@ -97,14 +97,9 @@ DifferentialResult run_differential(const DifferentialScenario& scenario,
                   core::Algorithm::kCorrectionAllreduce, core::Algorithm::kFuMassHybrid};
   }
 
-  // RNG derivation mirrors src/tools/pcflow_cli.cpp so repro commands replay
-  // this exact run.
-  Rng topo_rng(scenario.seed ^ 0x7070ULL);
-  const auto topology = net::Topology::parse(scenario.topology_spec, topo_rng);
-  Rng data_rng(scenario.seed ^ 0xda7aULL);
-  std::vector<double> values(topology.size());
-  for (auto& v : values) v = data_rng.uniform();
-  const auto masses = masses_from_values(values, scenario.aggregate);
+  // The pcflow CLI's seeded scenario, so repro commands replay this exact run.
+  const auto [topology, masses] =
+      seeded_scenario(scenario.topology_spec, scenario.seed, scenario.aggregate);
 
   // With a crash (or rejoin — which also retargets), each algorithm's oracle
   // retargets from ITS OWN survivors' masses at detection time — the exact

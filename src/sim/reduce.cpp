@@ -16,6 +16,17 @@ std::vector<core::Mass> masses_from_values(std::span<const double> values,
   return masses;
 }
 
+SeededScenario seeded_scenario(const std::string& topology_spec, std::uint64_t seed,
+                               core::Aggregate aggregate) {
+  Rng topo_rng(seed ^ 0x7070ULL);
+  net::Topology topology = net::Topology::parse(topology_spec, topo_rng);
+  Rng data_rng(seed ^ 0xda7aULL);
+  std::vector<double> values(topology.size());
+  for (auto& v : values) v = data_rng.uniform();
+  std::vector<core::Mass> masses = masses_from_values(values, aggregate);
+  return {std::move(topology), std::move(masses)};
+}
+
 std::vector<core::Mass> masses_from_vectors(std::span<const core::Values> values,
                                             core::Aggregate aggregate) {
   std::vector<core::Mass> masses;

@@ -6,6 +6,7 @@
 // the distributed QR are built on it.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "core/mass.hpp"
@@ -19,6 +20,19 @@ namespace pcf::sim {
 /// convention (AVG: w_i = 1; SUM: w_0 = 1, others 0).
 [[nodiscard]] std::vector<core::Mass> masses_from_values(std::span<const double> values,
                                                          core::Aggregate aggregate);
+
+/// The scenario a seeded driver reduces: the topology parsed with
+/// Rng(seed ^ 0x7070), one uniform value per node drawn from
+/// Rng(seed ^ 0xda7a), and their masses under `aggregate`. The pcflow CLI,
+/// bench, chaos, the net trial and the differential harness all derive their
+/// input here, so equal seeds give the identical scenario in each of them and
+/// a dumped repro command replays bit for bit.
+struct SeededScenario {
+  net::Topology topology;
+  std::vector<core::Mass> masses;
+};
+[[nodiscard]] SeededScenario seeded_scenario(const std::string& topology_spec,
+                                             std::uint64_t seed, core::Aggregate aggregate);
 
 /// Vector-payload version: `values[i]` is node i's d-dimensional input.
 [[nodiscard]] std::vector<core::Mass> masses_from_vectors(
